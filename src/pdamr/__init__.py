@@ -6,12 +6,14 @@ from .constructions import full_star_pda, man_pda, p1_pda, p2_pda
 from .engine import (
     ActiveSetPlan,
     DivisibilityError,
+    EngineDefectError,
     JobSpec,
     LoadReport,
     Placement,
     TranscriptReport,
     Workload,
     build_placement,
+    job_geometry,
     measure_loads,
     minimal_valid_v,
     plan_active_set,
@@ -55,13 +57,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActiveSetPlan", "BETA_BOUND", "Bits", "DivisibilityError",
-    "EmptyStarRowError", "InsufficientTauError", "JobSpec", "LoadPair",
-    "LoadReport", "NoMatchingFamilyError", "Pda", "PdaFormatError",
-    "PdaStats", "PdaValidationError", "Placement", "Prop1Report", "STAR",
-    "TradeoffCurve", "TranscriptReport", "ValidationReport", "Violation",
-    "Workload", "achieved_load", "block_stream", "build_placement",
-    "column_subarray", "comb", "full_star_pda", "fnv1a64", "le64",
-    "man_pda", "measure_loads", "minimal_valid_v", "optimal_file_complexity",
+    "EmptyStarRowError", "EngineDefectError", "InsufficientTauError",
+    "JobSpec", "LoadPair", "LoadReport", "NoMatchingFamilyError", "Pda",
+    "PdaFormatError", "PdaStats", "PdaValidationError", "Placement",
+    "Prop1Report", "STAR", "TradeoffCurve", "TranscriptReport",
+    "ValidationReport", "Violation", "Workload", "achieved_load",
+    "block_stream", "build_placement", "column_subarray", "comb",
+    "full_star_pda", "fnv1a64", "job_geometry", "le64", "man_pda",
+    "measure_loads", "minimal_valid_v", "optimal_file_complexity",
     "optimal_load", "p1_pda", "p2_pda", "parse_pda", "pda_stats",
     "plan_active_set", "prop1_check", "reference_oracle", "render_pda",
     "run_transcript", "storage_profile", "tradeoff_curve", "u_value",

@@ -2,8 +2,9 @@
 fundamental tradeoff, and run bit-exact shuffle simulations.
 
 Exit codes: 0 success; 2 parse/validation failure; 3 divisibility or
-parameter failure; 4 measured load disagrees with the closed form or a
-reduced output disagrees with the reference (a defect, never a warning).
+parameter failure; 4 measured load disagrees with the closed form, a
+reduced output disagrees with the reference, or the engine broke one of its
+own invariants (a defect, never a warning).
 
 All reports are deterministic: rationals are rendered as lowest-terms "p/q"
 strings with 15-significant-digit decimals, JSON output is byte-stable for
@@ -19,7 +20,13 @@ from fractions import Fraction
 
 from . import __version__
 from .constructions import full_star_pda, man_pda, p1_pda, p2_pda
-from .engine import DivisibilityError, JobSpec, measure_loads, minimal_valid_v
+from .engine import (
+    DivisibilityError,
+    EngineDefectError,
+    JobSpec,
+    measure_loads,
+    minimal_valid_v,
+)
 from .loads import (
     InsufficientTauError,
     NoMatchingFamilyError,
@@ -363,6 +370,9 @@ def main(argv=None) -> int:
     except (PdaFormatError, PdaValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except EngineDefectError as exc:
+        print(f"error: internal defect: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (DivisibilityError, InsufficientTauError, NoMatchingFamilyError,
             EmptyStarRowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

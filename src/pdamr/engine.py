@@ -10,6 +10,9 @@ counter streams of the job seed, each intermediate value is the first V bits
 of an FNV-1a block stream keyed by (function, file), and each reduce output
 hashes the concatenation of its function's intermediate values. Nothing in
 the shuffle or reduce path exploits any structure of these functions.
+
+Inside a transcript every coded block has the same width and every value is
+a plain int of known width; ``Bits`` objects appear only at the API edge.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .bits import Bits, block_stream, le64
 from .loads import LoadPair, achieved_load
@@ -34,6 +38,11 @@ class DivisibilityError(ValueError):
         super().__init__(message)
 
 
+class EngineDefectError(RuntimeError):
+    """An internal invariant of the engine failed. This is a bug, never a
+    problem with the caller's parameters, so it is not a ValueError."""
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """Synthetic workload: N files of W bits, D output functions with V-bit
@@ -42,8 +51,8 @@ class JobSpec:
     A job is run against a PDA with F rows, which partitions the files into F
     batches of eta = N/F files; F must divide N. The active-set size Q must
     divide D, and lcm(1..Q-1) must divide eta*(D/Q)*V so that every coded
-    block splits into equal parts on bit boundaries. Those two checks happen
-    when an active set is planned, since they need F and Q.
+    block splits into equal parts on bit boundaries. ``job_geometry`` holds
+    those checks, since they need F and Q.
     """
 
     n_files: int
@@ -59,6 +68,30 @@ class JobSpec:
                 raise ValueError(f"{name} must be >= 1")
 
 
+class Geometry(NamedTuple):
+    eta: int         # files per batch, N/F
+    block_bits: int  # width of every coded block, eta*(D/Q)*V
+    divisor: int     # lcm(1..Q-1), which must divide block_bits
+
+
+def job_geometry(pda: Pda, job: JobSpec, q: int) -> Geometry:
+    """Block geometry of ``job`` on ``pda`` with active sets of size ``q``.
+
+    Raises DivisibilityError unless F divides N and q divides D; whether
+    ``divisor`` divides ``block_bits`` is left to the caller.
+    """
+    if job.n_files % pda.f != 0:
+        raise DivisibilityError(
+            f"row count {pda.f} must divide the number of files {job.n_files}",
+            divisor=pda.f, value=job.n_files)
+    if job.d_functions % q != 0:
+        raise DivisibilityError(
+            f"active-set size {q} must divide the number of functions {job.d_functions}",
+            divisor=q, value=job.d_functions)
+    eta = job.n_files // pda.f
+    return Geometry(eta, eta * (job.d_functions // q) * job.v_bits, math.lcm(*range(1, q)))
+
+
 class Workload:
     """Lazy cache of files, intermediate values, and reference outputs for a job.
 
@@ -70,6 +103,7 @@ class Workload:
         self.job = job
         self._files: dict[int, Bits] = {}
         self._ivas: dict[tuple[int, int], Bits] = {}
+        self._reduced: dict[tuple[int, bytes], Bits] = {}
         self._reference: dict[int, Bits] | None = None
 
     def file(self, n: int) -> Bits:
@@ -90,11 +124,16 @@ class Workload:
 
     def reduce_output(self, d: int, ivas: list[Bits]) -> Bits:
         """Reduce function d: first U bits of the block stream keyed by LE64(d)
-        over the concatenation of the N intermediate values of d."""
+        over the concatenation of the N intermediate values of d.
+
+        Memoized on (d, payload bytes): a hit needs byte-identical input, and
+        the output depends on nothing else."""
         if len(ivas) != self.job.n_files:
             raise ValueError("reduce needs one intermediate value per file")
-        payload = Bits.concat(ivas).to_bytes()
-        return block_stream(le64(d), payload, self.job.u_bits)
+        key = (d, Bits.concat(ivas).to_bytes())
+        if key not in self._reduced:
+            self._reduced[key] = block_stream(le64(d), key[1], self.job.u_bits)
+        return self._reduced[key]
 
     def reference(self) -> dict[int, Bits]:
         """Every output computed directly from all files, ignoring placement."""
@@ -130,11 +169,7 @@ def batch_files(row: int, eta: int) -> range:
 
 def build_placement(pda: Pda, job: JobSpec) -> Placement:
     """Assign file batches to nodes by the star pattern of the PDA."""
-    if job.n_files % pda.f != 0:
-        raise DivisibilityError(
-            f"row count {pda.f} must divide the number of files {job.n_files}",
-            divisor=pda.f, value=job.n_files)
-    eta = job.n_files // pda.f
+    eta = job_geometry(pda, job, 1).eta  # q = 1 leaves only the F | N check
     node_rows = {k: pda.star_rows(k - 1) for k in range(1, pda.k + 1)}
     node_files = {
         k: tuple(n for row in rows for n in batch_files(row, eta))
@@ -189,17 +224,7 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
     q = len(active)
     subarray = column_subarray(pda, active)
 
-    if job.d_functions % q != 0:
-        raise DivisibilityError(
-            f"active-set size {q} must divide the number of functions {job.d_functions}",
-            divisor=q, value=job.d_functions)
-    if job.n_files % pda.f != 0:
-        raise DivisibilityError(
-            f"row count {pda.f} must divide the number of files {job.n_files}",
-            divisor=pda.f, value=job.n_files)
-    eta = job.n_files // pda.f
-    block_bits = eta * (job.d_functions // q) * job.v_bits
-    need = math.lcm(*range(1, q)) if q > 1 else 1
+    _, block_bits, need = job_geometry(pda, job, q)
     if block_bits % need != 0:
         raise DivisibilityError(
             f"lcm(1..{q - 1}) = {need} must divide eta*(D/Q)*V = {block_bits} "
@@ -250,7 +275,8 @@ class TranscriptReport:
 
     ``signals`` holds the multicast payloads keyed by (sender, symbol);
     ``outputs`` the reduced outputs per active node; ``reference_match``
-    whether every output equals the placement-free reference evaluation.
+    whether every decoded intermediate value equals the map output and every
+    output equals the placement-free reference evaluation.
     """
 
     active: tuple[int, ...]
@@ -271,101 +297,92 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     each block under a g >= 2 symbol is split into g-1 labeled parts and each
     occurrence column XORs the parts labeled with it across the other
     occurrences. Reduce: nodes rebuild the blocks of their unstored batches
-    from the signals plus locally computed parts, then evaluate their assigned
-    reduce functions.
+    from the signals plus locally computed parts, check every rebuilt value
+    against the map output, then evaluate their assigned reduce functions.
     """
     wl = workload if workload is not None else Workload(job)
     if wl.job != job:
         raise ValueError("workload belongs to a different job")
     plan = plan_active_set(pda, active, job)
     placement = build_placement(pda, job)
-    eta = placement.eta
+    eta, block_bits, _ = job_geometry(pda, job, len(plan.active))
+    v = job.v_bits
+    stored = {k: set(placement.node_rows[k]) for k in plan.active}
 
-    def block(i: int, j: int) -> Bits:
-        """Intermediate values node j needs from batch i, (d, n) ascending."""
-        return Bits.concat(wl.iva(d, n)
-                           for d in plan.reduce_assignment[j]
-                           for n in batch_files(i, eta))
+    def pairs(i: int, j: int) -> list[tuple[int, int]]:
+        """(d, n) of the values node j needs from batch i, in block order."""
+        return [(d, n) for d in plan.reduce_assignment[j] for n in batch_files(i, eta)]
 
-    def part_label_index(i: int, j: int, label: int) -> int:
-        return plan.split_plan[(i, j)].index(label)
+    def block(i: int, j: int) -> int:
+        value = 0
+        for d, n in pairs(i, j):
+            value = value << v | wl.iva(d, n).value
+        return value
 
-    signals: dict[tuple[int, int], Bits] = {}
-    for k in plan.active:
-        stored = set(placement.node_rows[k])
-        for sym, sender in plan.singleton_assignment.items():
-            if sender != k:
-                continue
-            (i, j), = plan.occurrences[sym]
-            assert i in stored  # sender has a star in the symbol's row
-            signals[(k, sym)] = block(i, j)
-        for sym in plan.coded_symbols[k]:
-            places = plan.occurrences[sym]
-            g = len(places)
-            acc = None
-            for i, j in places:
-                if j == k:
-                    continue
-                assert i in stored  # guaranteed by the cross-star rule
-                piece = block(i, j).split(g - 1)[part_label_index(i, j, k)]
-                acc = piece if acc is None else acc ^ piece
-            signals[(k, sym)] = acc
+    def require_stored(k: int, rows, rule: str) -> None:
+        missing = set(rows) - stored[k]
+        if missing:
+            raise EngineDefectError(
+                f"node {k} lacks batch {min(missing) + 1}, which the {rule} promises")
+
+    signals: dict[tuple[int, int], int] = {}   # (sender, symbol) -> payload
+    width: dict[int, int] = {}                 # symbol -> payload width
+    decoded: dict[tuple[int, int], int] = {}   # (row, node) -> block rebuilt there
+    for sym, places in plan.occurrences.items():
+        if len(places) == 1:
+            (i, j), = places
+            sender = plan.singleton_assignment[sym]
+            require_stored(sender, [i], "choice of singleton sender")
+            width[sym] = block_bits
+            signals[(sender, sym)] = decoded[(i, j)] = block(i, j)
+            continue
+        width[sym] = w = block_bits // (len(places) - 1)
+        part: dict[tuple[int, int, int], int] = {}  # (row, node, label) -> part
+        for i, j in places:
+            require_stored(j, [i2 for i2, j2 in places if j2 != j], "cross-star rule")
+            value = block(i, j)
+            for p, label in enumerate(reversed(plan.split_plan[(i, j)])):
+                part[(i, j, label)] = value >> (p * w) & ((1 << w) - 1)
+        for (_, _, label), value in part.items():  # each node XORs the parts labeled with it
+            signals[(label, sym)] = signals.get((label, sym), 0) ^ value
+        for i, k in places:
+            decoded[(i, k)] = 0
+            for label in plan.split_plan[(i, k)]:
+                acc = signals[(label, sym)]
+                for i2, j2 in places:
+                    if j2 not in (k, label):
+                        acc ^= part[(i2, j2, label)]
+                decoded[(i, k)] = decoded[(i, k)] << w | acc
 
     per_node_bits = {k: 0 for k in plan.active}
     per_symbol_bits: dict[int, int] = {}
-    for (k, sym), payload in signals.items():
-        per_node_bits[k] += len(payload)
-        per_symbol_bits[sym] = per_symbol_bits.get(sym, 0) + len(payload)
-    total_bits = sum(per_node_bits.values())
+    for k, sym in signals:
+        per_node_bits[k] += width[sym]
+        per_symbol_bits[sym] = per_symbol_bits.get(sym, 0) + width[sym]
 
-    outputs: dict[int, dict[int, Bits]] = {}
-    for k in plan.active:
-        stored = set(placement.node_rows[k])
-        known: dict[tuple[int, int], Bits] = {}
-        for i in stored:
-            for d in plan.reduce_assignment[k]:
-                for n in batch_files(i, eta):
-                    known[(d, n)] = wl.iva(d, n)
-        for i in range(pda.f):
-            if i in stored:
-                continue
-            sym = pda.grid[i][k - 1]
-            places = plan.occurrences[sym]
-            g = len(places)
-            if g == 1:
-                decoded = signals[(plan.singleton_assignment[sym], sym)]
-            else:
-                labels = plan.split_plan[(i, k)]
-                parts = []
-                for label in labels:
-                    acc = signals[(label, sym)]
-                    for i2, j2 in places:
-                        if (i2, j2) == (i, k) or j2 == label:
-                            continue
-                        assert i2 in stored  # cross-star rule again
-                        piece = block(i2, j2).split(g - 1)[part_label_index(i2, j2, label)]
-                        acc = acc ^ piece
-                    parts.append(acc)
-                decoded = Bits.concat(parts)
-            pieces = decoded.split(len(plan.reduce_assignment[k]) * eta)
-            pairs = [(d, n) for d in plan.reduce_assignment[k] for n in batch_files(i, eta)]
-            for pair, piece in zip(pairs, pieces):
-                known[pair] = piece
-        outputs[k] = {
-            d: wl.reduce_output(d, [known[(d, n)] for n in range(1, job.n_files + 1)])
-            for d in plan.reduce_assignment[k]
-        }
+    values_match = True
+    known = {k: {(d, n): wl.iva(d, n) for d in plan.reduce_assignment[k]
+                 for n in placement.node_files[k]} for k in plan.active}
+    for (i, k), value in decoded.items():
+        for p, (d, n) in enumerate(reversed(pairs(i, k))):
+            got, want = value >> (p * v) & ((1 << v) - 1), wl.iva(d, n)
+            values_match &= got == want.value
+            # an equal map output stands in for the decoded bits: no new Bits
+            known[k][(d, n)] = want if got == want.value else Bits(got, v)
+    outputs = {k: {d: wl.reduce_output(d, [known[k][(d, n)] for n in range(1, job.n_files + 1)])
+                   for d in plan.reduce_assignment[k]}
+               for k in plan.active}
 
     reference = wl.reference()
-    match = all(outputs[k][d] == reference[d]
-                for k in plan.active for d in plan.reduce_assignment[k])
+    match = values_match and all(outputs[k][d] == reference[d]
+                                 for k in plan.active for d in plan.reduce_assignment[k])
 
     return TranscriptReport(
         active=plan.active,
-        signals=signals,
+        signals={key: Bits(value, width[key[1]]) for key, value in sorted(signals.items())},
         per_node_bits=per_node_bits,
         per_symbol_bits=dict(sorted(per_symbol_bits.items())),
-        total_bits=total_bits,
+        total_bits=sum(per_node_bits.values()),
         outputs=outputs,
         reference_match=match,
     )
@@ -403,15 +420,15 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
         raise ValueError(f"q_active must be in 1..{pda.k}, got {q_active}")
     closed_form = achieved_load(pda, q_active)
 
-    all_sets = list(combinations(range(1, pda.k + 1), q_active))
+    nodes = range(1, pda.k + 1)
     if samples is None:
-        chosen = all_sets
+        chosen = list(combinations(nodes, q_active))
         mode = "exhaustive"
     else:
         if samples < 1:
             raise ValueError("samples must be >= 1")
         rng = random.Random(seed)
-        chosen = [rng.choice(all_sets) for _ in range(samples)]
+        chosen = [tuple(sorted(rng.sample(nodes, q_active))) for _ in range(samples)]
         mode = "sample"
 
     wl = Workload(job)
@@ -444,15 +461,7 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
 def minimal_valid_v(pda: Pda, job: JobSpec, q_active: int) -> int:
     """Smallest V >= job.v_bits satisfying the split-divisibility condition
     lcm(1..Q-1) | eta*(D/Q)*V for this PDA and active-set size."""
-    if job.n_files % pda.f != 0:
-        raise DivisibilityError(
-            f"row count {pda.f} must divide the number of files {job.n_files}",
-            divisor=pda.f, value=job.n_files)
-    if job.d_functions % q_active != 0:
-        raise DivisibilityError(
-            f"active-set size {q_active} must divide the number of functions "
-            f"{job.d_functions}", divisor=q_active, value=job.d_functions)
-    per_bit = (job.n_files // pda.f) * (job.d_functions // q_active)
-    need = math.lcm(*range(1, q_active)) if q_active > 1 else 1
+    _, block_bits, need = job_geometry(pda, job, q_active)
+    per_bit = block_bits // job.v_bits
     step = need // math.gcd(need, per_bit)
     return ((job.v_bits + step - 1) // step) * step

@@ -246,17 +246,30 @@ def canonical_relabel(raw_grid) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _symbol(token: str) -> int | None:
+    """The label an ASCII token spells, or None unless it is a positive integer."""
+    try:
+        value = int(token) if token.isdigit() else 0
+    except ValueError:  # more digits than int() converts
+        return None
+    return value if value > 0 else None
+
+
 def parse_pda(text) -> Pda:
     """Parse PDA text: a header line ``F K`` followed by F rows of K
     whitespace-separated tokens, each ``*`` or a positive integer. Lines
-    starting with ``#`` and blank lines are ignored. Symbols are renumbered
-    canonically; the grid is then validated.
+    starting with ``#`` and blank lines are ignored. The text must be ASCII,
+    as ``bytes`` or ``str``. Symbols are renumbered canonically; the grid is
+    then validated.
     """
     if isinstance(text, (bytes, bytearray)):
         try:
             text = text.decode("ascii")
         except UnicodeDecodeError as exc:
             raise PdaFormatError(f"PDA text is not ASCII: {exc}") from None
+    elif not text.isascii():
+        pos = next(pos for pos, char in enumerate(text) if not char.isascii())
+        raise PdaFormatError(f"PDA text is not ASCII: {text[pos]!r} at character {pos + 1}")
 
     lines = []  # (1-based line number, content)
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -293,12 +306,10 @@ def parse_pda(text) -> Pda:
         pos = 0
         for token in tokens:
             pos = line.index(token, pos)
-            if token == "*":
-                row.append(STAR)
-            elif token.isdigit() and int(token) > 0:
-                row.append(int(token))
-            else:
+            entry = STAR if token == "*" else _symbol(token)
+            if entry is None:
                 raise PdaFormatError(f"bad entry {token!r}", line=lineno, column=pos + 1)
+            row.append(entry)
             pos += len(token)
         grid.append(tuple(row))
 

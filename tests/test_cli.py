@@ -1,10 +1,16 @@
 """Exit codes, report shapes, and determinism of the command-line front end."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from pdamr import cli, man_pda, render_pda
+import pdamr
+from pdamr import cli, engine, man_pda, p1_pda, render_pda
 from pdamr.engine import LoadReport
 from pdamr.loads import LoadPair
 
@@ -212,6 +218,43 @@ def test_simulate_mismatch_exit_code(capsys, ex1_path, monkeypatch):
     code, _, _ = run(capsys, "simulate", "--pda", ex1_path, "--q", "3",
                      "--files", "6", "--functions", "3", "--iva-bits", "120")
     assert code == 4
+
+
+def test_simulate_engine_defect_exit_code(capsys, tmp_path, monkeypatch):
+    # a plan whose singleton sender lacks the batch is an internal defect:
+    # exit 4, not the parameter-error exit 3
+    real = engine.plan_active_set
+
+    def broken(*args):
+        plan = real(*args)
+        if not plan.singleton_assignment:
+            return plan
+        sym = next(iter(plan.singleton_assignment))
+        (_, holder), = plan.occurrences[sym]
+        return dataclasses.replace(
+            plan, singleton_assignment={**plan.singleton_assignment, sym: holder})
+
+    monkeypatch.setattr(engine, "plan_active_set", broken)
+    path = tmp_path / "p1.pda"
+    path.write_text(render_pda(p1_pda(2, 2)))
+    code, _, stderr = run(capsys, "simulate", "--pda", str(path), "--q", "3",
+                          "--files", "2", "--functions", "3", "--iva-bits", "24")
+    assert code == 4
+    assert "defect" in stderr
+
+
+def test_simulate_under_optimized_python(ex1_path):
+    # python -O strips assert statements; the engine's checks must not be any
+    src = str(Path(pdamr.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pdamr.cli", "simulate", "--pda", ex1_path,
+         "--q", "3", "--files", "6", "--functions", "3", "--iva-bits", "120"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert results["match"] is True and results["all_reference_match"] is True
 
 
 def test_prop1_report(capsys):

@@ -1,16 +1,26 @@
 """Placement, shuffle planning, transcripts, and exact load measurement."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from pdamr import engine
 from pdamr import (
+    STAR,
+    Bits,
     DivisibilityError,
     EmptyStarRowError,
+    EngineDefectError,
     JobSpec,
+    Pda,
+    TranscriptReport,
     Workload,
+    block_stream,
     build_placement,
     full_star_pda,
+    job_geometry,
+    le64,
     man_pda,
     measure_loads,
     minimal_valid_v,
@@ -18,6 +28,7 @@ from pdamr import (
     achieved_load,
     p1_pda,
     p2_pda,
+    parse_pda,
     pda_stats,
     plan_active_set,
     reference_oracle,
@@ -242,3 +253,166 @@ def test_minimal_valid_v():
     assert minimal_valid_v(EX1, JobSpec(12, 3, 8, 7, 8, 0), 3) == 7
     with pytest.raises(DivisibilityError):
         minimal_valid_v(EX1, JobSpec(7, 3, 8, 8, 8, 0), 3)
+
+
+def test_job_geometry():
+    geometry = job_geometry(EX1, JobSpec(12, 6, 8, 10, 8, 0), 3)
+    assert geometry == (2, 2 * 2 * 10, 2)
+    assert job_geometry(EX1, TOY, 1).divisor == 1
+    with pytest.raises(DivisibilityError) as err:
+        job_geometry(EX1, JobSpec(7, 3, 8, 8, 8, 0), 3)
+    assert (err.value.divisor, err.value.value) == (6, 7)
+    assert str(err.value) == "row count 6 must divide the number of files 7"
+    with pytest.raises(DivisibilityError) as err:
+        job_geometry(EX1, JobSpec(6, 4, 8, 8, 8, 0), 3)
+    assert (err.value.divisor, err.value.value) == (3, 4)
+    assert str(err.value) == "active-set size 3 must divide the number of functions 4"
+
+
+def misdirect_singleton(plan):
+    """``plan`` with its first singleton sent by the node that holds the
+    symbol itself, hence lacks the batch it would have to send."""
+    sym = next(iter(plan.singleton_assignment))
+    (_, holder), = plan.occurrences[sym]
+    return dataclasses.replace(
+        plan, singleton_assignment={**plan.singleton_assignment, sym: holder})
+
+
+def test_broken_plan_is_an_engine_defect(monkeypatch):
+    assert not issubclass(EngineDefectError, ValueError)
+    real = engine.plan_active_set
+    monkeypatch.setattr(engine, "plan_active_set",
+                        lambda *args: misdirect_singleton(real(*args)))
+    job = JobSpec(2, 3, 8, 24, 8, 0)
+    with pytest.raises(EngineDefectError, match="singleton sender"):
+        run_transcript(p1_pda(2, 2), job, [1, 2, 3])
+
+
+def test_cross_star_break_is_an_engine_defect():
+    # built directly, so unvalidated: symbol 1 at (1,2) and (2,1) needs a
+    # star at (2,2), which holds symbol 2 instead
+    pda = Pda(((STAR, 1, STAR), (1, 2, STAR)))
+    with pytest.raises(EngineDefectError, match="cross-star rule"):
+        run_transcript(pda, JobSpec(2, 3, 8, 8, 8, 0), [1, 2, 3])
+
+
+def test_relabelled_split_plan_still_decodes(monkeypatch):
+    # which label names which part of a block is a free choice that encoder
+    # and decoder share, so a reversed label order is still a correct scheme
+    real = engine.plan_active_set
+
+    def relabelled(*args):
+        plan = real(*args)
+        place = next(p for p, labels in plan.split_plan.items() if len(labels) >= 2)
+        split_plan = {**plan.split_plan, place: plan.split_plan[place][::-1]}
+        return dataclasses.replace(plan, split_plan=split_plan)
+
+    monkeypatch.setattr(engine, "plan_active_set", relabelled)
+    report = run_transcript(EX1, TOY, [1, 2, 4])
+    assert report.reference_match
+    assert report.total_bits == 900
+
+
+class DriftingWorkload(Workload):
+    """A map whose output for one (d, n) changes by one bit after the
+    reference outputs were taken."""
+
+    def iva(self, d, n):
+        value = super().iva(d, n)
+        if self._reference is not None and (d, n) == (1, 4):
+            value = value ^ Bits(1, len(value))
+        return value
+
+
+def test_transcript_check_catches_corruption():
+    wl = DriftingWorkload(TOY)
+    wl.reference()
+    report = run_transcript(EX1, TOY, [1, 2, 4], workload=wl)
+    assert report.reference_match is False
+    assert report.outputs[1][1] != wl.reference()[1]
+    assert report.outputs[2][2] == wl.reference()[2]
+
+
+class FlakyMap(Workload):
+    """A map whose output for (1, 4) is wrong on its first call after the
+    reference was taken, and a reduce that ignores the values it is given,
+    so that only the per-value decode check can see the fault."""
+
+    flipped = False
+
+    def iva(self, d, n):
+        value = super().iva(d, n)
+        if self._reference is not None and (d, n) == (1, 4) and not self.flipped:
+            self.flipped = True
+            value = value ^ Bits(1, len(value))
+        return value
+
+    def reduce_output(self, d, ivas):
+        return super().reduce_output(
+            d, [self.iva(d, n) for n in range(1, self.job.n_files + 1)])
+
+
+def test_decoded_values_are_checked_one_by_one():
+    wl = FlakyMap(TOY)
+    wl.reference()
+    report = run_transcript(EX1, TOY, [1, 2, 4], workload=wl)
+    assert wl.flipped
+    assert all(report.outputs[k][d] == wl.reference()[d]
+               for k, outputs in report.outputs.items() for d in outputs)
+    assert report.reference_match is False
+
+
+def test_reduce_memo_never_serves_another_payload():
+    wl = Workload(TOY)
+    ivas = [wl.iva(2, n) for n in range(1, 7)]
+    flipped = ivas[:3] + [ivas[3] ^ Bits(1 << 50, 120)] + ivas[4:]
+    results = [wl.reduce_output(2, payload) for payload in (ivas, flipped, ivas, flipped)]
+    assert results[0] != results[1]
+    assert results[2:] == results[:2]
+    for payload, got in zip((ivas, flipped), results):
+        assert got == block_stream(le64(2), Bits.concat(payload).to_bytes(), TOY.u_bits)
+
+
+def stacked(*parts):
+    """Vertical stack of PDAs with equal K and disjoint symbol labels."""
+    rows, offset = [], 0
+    for pda in parts:
+        rows += [tuple(e + offset if e != STAR else STAR for e in row) for row in pda.grid]
+        offset += pda.s
+    body = "\n".join(" ".join(str(e) if e != STAR else "*" for e in row) for row in rows)
+    return parse_pda(f"{len(rows)} {len(rows[0])}\n{body}\n")
+
+
+def test_mixed_multiplicity_stack_end_to_end():
+    pda = stacked(man_pda(5, 2), man_pda(5, 3), man_pda(5, 4))
+    stats = pda_stats(pda)
+    assert stats.s_t == {3: 10, 4: 5, 5: 1}
+    assert stats.tau == 2 and stats.regular_g is None
+    for q, load in ((4, Fraction(4, 15)), (5, Fraction(11, 60))):
+        report = measure_loads(pda, JobSpec(25, q, 16, 12, 16, seed=3), q)
+        assert report.closed_form.l == load
+        assert report.l_measured == load
+        assert report.match and report.all_reference_match
+
+
+def test_sampling_draws_sets_without_enumerating(monkeypatch):
+    # C(30, 20) is about 3e7 sets; the sampler must never list them, and no
+    # job small enough to transcribe meets lcm(1..19) | eta*(D/Q)*V
+    def no_enumeration(*args):
+        raise AssertionError("active sets enumerated in sample mode")
+
+    def no_transcript(pda, job, active, workload=None):
+        return TranscriptReport(active=tuple(active), signals={}, per_node_bits={},
+                                per_symbol_bits={}, total_bits=0, outputs={},
+                                reference_match=True)
+
+    monkeypatch.setattr(engine, "combinations", no_enumeration)
+    monkeypatch.setattr(engine, "run_transcript", no_transcript)
+    pda, job = full_star_pda(30, 1), JobSpec(1, 20, 8, 8, 8, 0)
+    report = measure_loads(pda, job, 20, samples=3, seed=5)
+    assert report.mode == "sample" and len(report.per_active_set) == 3
+    for active, bits in report.per_active_set:
+        assert len(set(active)) == 20 and list(active) == sorted(active)
+        assert set(active) <= set(range(1, 31)) and bits == 0
+    assert report.l_measured == 0 and report.match
+    assert measure_loads(pda, job, 20, samples=3, seed=5) == report

@@ -90,6 +90,16 @@ def test_parse_syntax_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("text", [
+    "1 2\n* \u0663\n", "1 2\n* \u00b2\n", "\u0661 1\n*\n", "1 1\n*\u2028\n",
+    pytest.param("1 2\n* " + "1" * 5000 + "\n", id="5000-digit-label"),
+])
+def test_parse_str_rejects_non_ascii_digits_and_huge_labels(text):
+    # str input gets the same ASCII-only rule as bytes input
+    with pytest.raises(PdaFormatError):
+        parse_pda(text)
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(PdaFormatError) as err:
         parse_pda("1 3\n* 2 x\n")

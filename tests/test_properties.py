@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from pdamr import (
     EmptyStarRowError,
+    PdaFormatError,
+    PdaValidationError,
     column_subarray,
     full_star_pda,
     man_pda,
@@ -95,3 +97,27 @@ def test_tradeoff_decreasing_in_storage(k, data):
     q = data.draw(st.integers(2, k))
     values = [optimal_load(k, q, r) for r in range(k - q + 1, k + 1)]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+TOKENS = st.sampled_from(["*", "1", "2", "3", "12", "0", "007", "-1", "+1", "x", "#",
+                          "\u0663", "\u00b2", "\uff11", "1" * 5000])
+
+
+@st.composite
+def pda_like_text(draw):
+    """Text shaped like a PDA file, with bad tokens mixed in."""
+    k = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(TOKENS, min_size=k, max_size=k).map(" ".join),
+                         min_size=1, max_size=4))
+    header = draw(st.sampled_from(["{f} {k}", "{f}", "{f} {k} 1", "\u0662 {k}", "-{f} {k}"]))
+    text = "\n".join([header.format(f=len(rows), k=k)] + rows)
+    return text.encode("utf-8") if draw(st.booleans()) else text
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), st.binary(), pda_like_text()))
+def test_parse_raises_only_pda_errors(text):
+    try:
+        parse_pda(text)
+    except (PdaFormatError, PdaValidationError):
+        pass
