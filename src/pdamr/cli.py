@@ -28,8 +28,7 @@ from .engine import (
     minimal_valid_v,
 )
 from .loads import (
-    InsufficientTauError,
-    NoMatchingFamilyError,
+    _check_kq,
     achieved_load,
     optimal_file_complexity,
     optimal_load,
@@ -37,20 +36,26 @@ from .loads import (
     tradeoff_curve,
 )
 from .pda import (
-    EmptyStarRowError,
     PdaFormatError,
     PdaValidationError,
     column_subarray,
     parse_pda,
     pda_stats,
     render_pda,
-    validate_pda,
 )
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PARAMETER = 3
 EXIT_MISMATCH = 4
+
+# family -> (constructor, its integer arguments in order, help text)
+GEN_FAMILIES = {
+    "man": (man_pda, ("k", "i"), "subset family (meets the tradeoff)"),
+    "p1": (p1_pda, ("q", "m"), "low-file-complexity family, first kind"),
+    "p2": (p2_pda, ("q", "m"), "low-file-complexity family, second kind"),
+    "fullstar": (full_star_pda, ("k", "f"), "all-star array"),
+}
 
 
 def rat(x) -> dict:
@@ -103,14 +108,8 @@ def stats_results(pda) -> dict:
 
 
 def cmd_gen(args) -> int:
-    if args.family == "man":
-        pda = man_pda(args.k, args.i)
-    elif args.family == "p1":
-        pda = p1_pda(args.q, args.m)
-    elif args.family == "p2":
-        pda = p2_pda(args.q, args.m)
-    else:
-        pda = full_star_pda(args.k, args.f)
+    build, names, _ = GEN_FAMILIES[args.family]
+    pda = build(*(getattr(args, name) for name in names))
     stats = pda_stats(pda)
     emit(render_pda(pda), args.out)
     summary = (f"({pda.k},{pda.f},{pda.t},{pda.s}) PDA, "
@@ -120,10 +119,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    with open(args.pda, "rb") as handle:
-        text = handle.read()
     try:
-        pda = parse_pda(text)
+        pda = read_pda(args.pda)
     except PdaValidationError as exc:
         payload = envelope("validate", {"pda": args.pda}, {
             "ok": False,
@@ -177,6 +174,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_tradeoff(args) -> int:
     if args.all_q:
+        _check_kq(args.k, 1)  # an empty range below would skip every check
         q_values = list(range(1, args.k + 1))
     elif args.q is not None:
         q_values = [args.q]
@@ -205,6 +203,7 @@ def cmd_tradeoff(args) -> int:
 
 def cmd_simulate(args) -> int:
     pda = read_pda(args.pda)
+    _check_kq(pda.k, args.q)  # the padding below divides by Q
     d_requested = args.functions
     d_used = d_requested
     if d_used % args.q != 0:
@@ -286,26 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a PDA from a family")
     fam = p.add_subparsers(dest="family", required=True)
-    g = fam.add_parser("man", help="subset family (meets the tradeoff)")
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--i", type=int, required=True)
-    g.add_argument("--out", default=None)
-    g.set_defaults(func=cmd_gen)
-    g = fam.add_parser("p1", help="low-file-complexity family, first kind")
-    g.add_argument("--q", type=int, required=True)
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--out", default=None)
-    g.set_defaults(func=cmd_gen)
-    g = fam.add_parser("p2", help="low-file-complexity family, second kind")
-    g.add_argument("--q", type=int, required=True)
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--out", default=None)
-    g.set_defaults(func=cmd_gen)
-    g = fam.add_parser("fullstar", help="all-star array")
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--f", type=int, required=True)
-    g.add_argument("--out", default=None)
-    g.set_defaults(func=cmd_gen)
+    for family, (_, names, help_text) in GEN_FAMILIES.items():
+        g = fam.add_parser(family, help=help_text)
+        for name in names:
+            g.add_argument(f"--{name}", type=int, required=True)
+        g.add_argument("--out", default=None)
+        g.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("validate", help="parse and validate a PDA file")
     p.add_argument("--pda", required=True)
@@ -373,11 +358,7 @@ def main(argv=None) -> int:
     except EngineDefectError as exc:
         print(f"error: internal defect: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (DivisibilityError, InsufficientTauError, NoMatchingFamilyError,
-            EmptyStarRowError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
 

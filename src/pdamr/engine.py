@@ -158,7 +158,6 @@ class Placement:
     full PDA only; the active set plays no role here."""
 
     eta: int
-    node_rows: dict[int, tuple[int, ...]]   # node -> 0-based batch rows
     node_files: dict[int, tuple[int, ...]]  # node -> 1-based file ids
 
 
@@ -170,12 +169,11 @@ def batch_files(row: int, eta: int) -> range:
 def build_placement(pda: Pda, job: JobSpec) -> Placement:
     """Assign file batches to nodes by the star pattern of the PDA."""
     eta = job_geometry(pda, job, 1).eta  # q = 1 leaves only the F | N check
-    node_rows = {k: pda.star_rows(k - 1) for k in range(1, pda.k + 1)}
     node_files = {
-        k: tuple(n for row in rows for n in batch_files(row, eta))
-        for k, rows in node_rows.items()
+        k: tuple(n for row in pda.star_rows(k - 1) for n in batch_files(row, eta))
+        for k in range(1, pda.k + 1)
     }
-    return Placement(eta=eta, node_rows=node_rows, node_files=node_files)
+    return Placement(eta=eta, node_files=node_files)
 
 
 def storage_profile(placement: Placement) -> dict[int, int]:
@@ -231,18 +229,17 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
             f"so coded blocks split evenly",
             divisor=need, value=block_bits)
 
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for i in range(pda.f):
-        for k in active:
-            entry = pda.grid[i][k - 1]
-            if entry != STAR:
-                occurrences.setdefault(entry, []).append((i, k))
+    columns = set(active)
+    occurrences: dict[int, tuple[tuple[int, int], ...]] = {}
+    for sym, places in sorted(pda.occurrences.items()):
+        kept = tuple((i, j + 1) for i, j in places if j + 1 in columns)
+        if kept:
+            occurrences[sym] = kept
 
     singleton_assignment: dict[int, int] = {}
     coded_symbols: dict[int, list[int]] = {k: [] for k in active}
     split_plan: dict[tuple[int, int], tuple[int, ...]] = {}
-    for sym in sorted(occurrences):
-        places = occurrences[sym]
+    for sym, places in occurrences.items():
         if len(places) == 1:
             i = places[0][0]
             sender = min(k for k in active if pda.grid[i][k - 1] == STAR)
@@ -261,7 +258,7 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
     return ActiveSetPlan(
         active=active,
         subarray=subarray,
-        occurrences={sym: tuple(places) for sym, places in sorted(occurrences.items())},
+        occurrences=occurrences,
         singleton_assignment=singleton_assignment,
         coded_symbols={k: tuple(v) for k, v in coded_symbols.items()},
         split_plan=split_plan,
@@ -304,10 +301,9 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     if wl.job != job:
         raise ValueError("workload belongs to a different job")
     plan = plan_active_set(pda, active, job)
-    placement = build_placement(pda, job)
     eta, block_bits, _ = job_geometry(pda, job, len(plan.active))
     v = job.v_bits
-    stored = {k: set(placement.node_rows[k]) for k in plan.active}
+    stored = {k: set(pda.star_rows(k - 1)) for k in plan.active}
 
     def pairs(i: int, j: int) -> list[tuple[int, int]]:
         """(d, n) of the values node j needs from batch i, in block order."""
@@ -362,7 +358,8 @@ def run_transcript(pda: Pda, job: JobSpec, active,
 
     values_match = True
     known = {k: {(d, n): wl.iva(d, n) for d in plan.reduce_assignment[k]
-                 for n in placement.node_files[k]} for k in plan.active}
+                 for i in stored[k] for n in batch_files(i, eta)}
+             for k in plan.active}
     for (i, k), value in decoded.items():
         for p, (d, n) in enumerate(reversed(pairs(i, k))):
             got, want = value >> (p * v) & ((1 << v) - 1), wl.iva(d, n)
@@ -416,19 +413,17 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
     ``samples=None`` enumerates all C(K,Q) sets; otherwise that many sets are
     drawn uniformly with replacement using ``seed``.
     """
-    if not 1 <= q_active <= pda.k:
-        raise ValueError(f"q_active must be in 1..{pda.k}, got {q_active}")
     closed_form = achieved_load(pda, q_active)
 
     nodes = range(1, pda.k + 1)
     if samples is None:
-        chosen = list(combinations(nodes, q_active))
+        chosen = combinations(nodes, q_active)
         mode = "exhaustive"
     else:
         if samples < 1:
             raise ValueError("samples must be >= 1")
         rng = random.Random(seed)
-        chosen = [tuple(sorted(rng.sample(nodes, q_active))) for _ in range(samples)]
+        chosen = (tuple(sorted(rng.sample(nodes, q_active))) for _ in range(samples))
         mode = "sample"
 
     wl = Workload(job)
@@ -444,7 +439,7 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
 
     stored = sum(len(files) for files in placement.node_files.values())
     r_measured = Fraction(stored, job.n_files)
-    l_measured = Fraction(total, len(chosen)) / (job.n_files * job.d_functions * job.v_bits)
+    l_measured = Fraction(total, len(per_active_set)) / (job.n_files * job.d_functions * job.v_bits)
 
     return LoadReport(
         mode=mode,

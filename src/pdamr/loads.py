@@ -11,11 +11,12 @@ equality instead of tolerances. Only the Stirling-scale constants of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import man_pda, p1_pda, p2_pda
+from .constructions import p1_pda, p2_pda
 from .pda import Pda, pda_stats
 
 BETA_BOUND = math.sqrt(2 * math.pi) * math.e ** 2  # upper range for beta, ~18.48
@@ -245,17 +246,6 @@ def prop1_check(k_nodes: int, r: int, q_active: int) -> Prop1Report:
     )
 
 
-_INSTANCE_CACHE: dict[tuple[str, int, int], Pda] = {}
-
-
+@functools.cache
 def _family_instance(family: str, q: int, m: int) -> Pda:
-    key = (family, q, m)
-    if key not in _INSTANCE_CACHE:
-        _INSTANCE_CACHE[key] = p1_pda(q, m) if family == "P1" else p2_pda(q, m)
-    return _INSTANCE_CACHE[key]
-
-
-def man_load(k_nodes: int, q_active: int, r: int) -> LoadPair:
-    """Load pair of the subset-family PDA with storage r; its communication
-    load meets the fundamental tradeoff exactly."""
-    return achieved_load(man_pda(k_nodes, r), q_active)
+    return p1_pda(q, m) if family == "P1" else p2_pda(q, m)

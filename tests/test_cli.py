@@ -1,6 +1,7 @@
 """Exit codes, report shapes, and determinism of the command-line front end."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -283,6 +284,46 @@ def test_json_outputs_are_byte_stable(capsys, ex1_path):
     _, second, _ = run(capsys, "simulate", "--pda", ex1_path, "--q", "3",
                        "--files", "6", "--functions", "3", "--iva-bits", "120")
     assert first == second
+
+
+# sha256 of the canonical JSON of each command's ``results`` object; a
+# change to any reported value or key shows up here
+PINNED_RESULTS = {
+    ("simulate", "--pda", "EX1", "--q", "3", "--files", "6", "--functions", "3",
+     "--iva-bits", "120"):
+        "62a5527935effa5949a32d5d83e25b134943539a51414da43ae9ee1226f56859",
+    ("analyze", "--pda", "EX1", "--q", "3"):
+        "1225fc31f4dee18a5e30f820cc081ad0ab1e8e57b07e3efe5a1fa13a9a1132aa",
+    ("stats", "--pda", "EX1"):
+        "2336f42649f5c0d3c6dedca02a4a3b5d9e7536ddfaecd55952bab7e66d272ff4",
+    ("tradeoff", "--k", "4", "--q", "3", "--format", "json"):
+        "cc11658abe0b414938472ea14aefc41dddbe8a60c17fe55d4e0784dc4b7b4ae7",
+    ("prop1", "--k", "4", "--r", "2", "--q-active", "3"):
+        "c520a12fd7fa826e1ff870e5dab729695ffd0ff02eb57243b56f85ed621d509f",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_RESULTS), ids=lambda argv: argv[0])
+def test_results_match_pinned_digest(capsys, ex1_path, argv):
+    code, stdout, _ = run(capsys, *(ex1_path if arg == "EX1" else arg for arg in argv))
+    assert code == 0
+    text = json.dumps(json.loads(stdout)["results"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == PINNED_RESULTS[argv]
+
+
+def test_simulate_rejects_q_zero(capsys, ex1_path):
+    # the function-count padding divides by Q, so Q is checked first
+    code, stdout, stderr = run(capsys, "simulate", "--pda", ex1_path, "--q", "0",
+                               "--files", "6", "--functions", "3", "--iva-bits", "120")
+    assert code == 3 and stdout == ""
+    assert stderr == "error: q_active must be in 1..4, got 0\n"
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_tradeoff_all_q_rejects_k_below_one(capsys, k):
+    code, stdout, stderr = run(capsys, "tradeoff", "--k", k, "--all-q")
+    assert code == 3 and stdout == ""
+    assert stderr == "error: k_nodes must be >= 1\n"
 
 
 def test_missing_file(capsys):

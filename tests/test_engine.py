@@ -1,6 +1,7 @@
 """Placement, shuffle planning, transcripts, and exact load measurement."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -416,3 +417,26 @@ def test_sampling_draws_sets_without_enumerating(monkeypatch):
         assert set(active) <= set(range(1, 31)) and bits == 0
     assert report.l_measured == 0 and report.match
     assert measure_loads(pda, job, 20, samples=3, seed=5) == report
+
+
+def test_exhaustive_mode_draws_active_sets_lazily(monkeypatch):
+    # the first transcript must start before the remaining C(K,Q) - 1 sets
+    # are drawn, so a large enumeration never sits in memory all at once
+    drawn = []
+
+    def counting(nodes, q):
+        for active in itertools.combinations(nodes, q):
+            drawn.append(active)
+            yield active
+
+    class FirstTranscript(Exception):
+        pass
+
+    def first_transcript(pda, job, active, workload=None):
+        raise FirstTranscript
+
+    monkeypatch.setattr(engine, "combinations", counting)
+    monkeypatch.setattr(engine, "run_transcript", first_transcript)
+    with pytest.raises(FirstTranscript):
+        measure_loads(EX1, TOY, 3)
+    assert drawn == [(1, 2, 3)]
