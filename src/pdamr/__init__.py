@@ -2,7 +2,13 @@
 arrays, with exact-rational load verification."""
 
 from .bits import Bits, block_stream, fnv1a64, le64
-from .constructions import full_star_pda, man_pda, p1_pda, p2_pda
+from .constructions import (
+    ArrayTooLargeError,
+    full_star_pda,
+    man_pda,
+    p1_pda,
+    p2_pda,
+)
 from .engine import (
     ActiveSetPlan,
     DivisibilityError,
@@ -56,7 +62,8 @@ from .pda import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSetPlan", "BETA_BOUND", "Bits", "DivisibilityError",
+    "ActiveSetPlan", "ArrayTooLargeError", "BETA_BOUND", "Bits",
+    "DivisibilityError",
     "EmptyStarRowError", "EngineDefectError", "InsufficientTauError",
     "JobSpec", "LoadPair", "LoadReport", "NoMatchingFamilyError", "Pda",
     "PdaFormatError", "PdaStats", "PdaValidationError", "Placement",

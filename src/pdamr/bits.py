@@ -14,14 +14,22 @@ FNV64_OFFSET = 14695981039346656037
 FNV64_PRIME = 1099511628211
 
 _MASK64 = (1 << 64) - 1
+_BYTE_VALUES = tuple(range(256))
+
+
+def _fnv_update(state: int, data: bytes, table, mask: int) -> int:
+    """FNV-1a byte steps over ``data``: xor in ``table[byte]``, multiply by
+    the prime, keep ``mask``. With the identity table and the 64-bit mask
+    this is plain FNV-1a; with lane-replicated ones it steps every lane of a
+    packed state at once."""
+    for byte in data:
+        state = ((state ^ table[byte]) * FNV64_PRIME) & mask
+    return state
 
 
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a hash of a byte string."""
-    h = FNV64_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * FNV64_PRIME) & _MASK64
-    return h
+    return _fnv_update(FNV64_OFFSET, data, _BYTE_VALUES, _MASK64)
 
 
 def le64(value: int) -> bytes:
@@ -87,11 +95,27 @@ def block_stream(header: bytes, payload: bytes, nbits: int) -> Bits:
     This single construction generates synthetic files (empty payload),
     map outputs (payload = file bytes) and reduce outputs (payload =
     concatenated intermediate values).
+
+    Every block hashes the same header and payload, so a stream of two or
+    more blocks hashes the header once, and the payload once for all blocks
+    together: block j is lane j of one packed int with a 128-bit slot per
+    lane. A 64-bit state times the 41-bit prime stays below 2**105, so no
+    carry crosses a slot, and each lane follows its own scalar FNV-1a.
     """
     if nbits < 0:
         raise ValueError("negative bit length")
     nblocks = -(-nbits // 64)
-    value = 0
-    for j in range(nblocks):
-        value = (value << 64) | fnv1a64(header + le64(j) + payload)
-    return Bits(value >> (nblocks * 64 - nbits) if nblocks else 0, nbits)
+    if nblocks == 0:
+        return Bits(0, 0)
+    if nblocks == 1:
+        return Bits(fnv1a64(header + le64(0) + payload) >> (64 - nbits), nbits)
+    state = _fnv_update(FNV64_OFFSET, header, _BYTE_VALUES, _MASK64)
+    packed = int.from_bytes(b"".join(
+        bytes(8) + _fnv_update(state, le64(j), _BYTE_VALUES, _MASK64).to_bytes(8, "big")
+        for j in range(nblocks)), "big")
+    rep = int.from_bytes((bytes(15) + b"\x01") * nblocks, "big")
+    table = {byte: byte * rep for byte in set(payload)}
+    packed = _fnv_update(packed, payload, table, _MASK64 * rep)
+    raw = packed.to_bytes(16 * nblocks, "big")
+    value = int.from_bytes(b"".join(raw[i + 8:i + 16] for i in range(0, len(raw), 16)), "big")
+    return Bits(value >> (nblocks * 64 - nbits), nbits)

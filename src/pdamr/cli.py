@@ -316,8 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tradeoff", help="fundamental tradeoff table")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--all-q", action="store_true")
+    which_q = p.add_mutually_exclusive_group()
+    which_q.add_argument("--q", type=int, default=None)
+    which_q.add_argument("--all-q", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tradeoff)

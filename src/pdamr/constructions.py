@@ -7,9 +7,19 @@ produce byte-identical renderings.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
 from .pda import STAR, Pda, canonical_relabel, validate_pda
+
+
+# Largest array, in cells (rows x columns), that ``man_pda`` builds: about 5x
+# man(16,8). Building one takes time and memory in proportion to its cells.
+MAX_CELLS = 1_000_000
+
+
+class ArrayTooLargeError(ValueError):
+    """The requested array has more cells than ``MAX_CELLS``."""
 
 
 def _finish(raw_grid) -> Pda:
@@ -35,6 +45,11 @@ def man_pda(k_nodes: int, i: int) -> Pda:
         raise ValueError("k_nodes must be >= 1")
     if not 1 <= i <= k_nodes:
         raise ValueError(f"i must be in 1..{k_nodes}, got {i}")
+    # the rank table has C(K, i+1) <= C(K, i) * K entries, so this bounds it too
+    cells = math.comb(k_nodes, i) * k_nodes
+    if cells > MAX_CELLS:
+        raise ArrayTooLargeError(
+            f"man({k_nodes},{i}) has {cells} cells, above the limit of {MAX_CELLS}")
 
     rank = {subset: r for r, subset in
             enumerate(combinations(range(1, k_nodes + 1), i + 1), start=1)}

@@ -1,5 +1,7 @@
 """Bit-string and hash primitive tests."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -92,3 +94,41 @@ def test_block_stream_avalanche():
     a = block_stream(le64(1), b"\x00\x00", 128)
     b = block_stream(le64(1), b"\x00\x01", 128)
     assert a != b
+
+
+def per_block_stream(header, payload, nbits):
+    """block_stream by its definition: one scalar FNV-1a hash per block."""
+    nblocks = -(-nbits // 64)
+    value = 0
+    for j in range(nblocks):
+        value = (value << 64) | fnv1a64(header + le64(j) + payload)
+    return Bits(value >> (nblocks * 64 - nbits), nbits)
+
+
+@given(st.binary(max_size=24), st.binary(max_size=300),
+       st.integers(min_value=0, max_value=700))
+def test_block_stream_matches_per_block_definition(header, payload, nbits):
+    assert block_stream(header, payload, nbits) == per_block_stream(header, payload, nbits)
+
+
+ALL_BYTES = bytes(range(256))
+
+
+@pytest.mark.parametrize("nbits", [0, 1, 63, 64, 65, 100, 127, 128, 129, 192, 640, 700])
+@pytest.mark.parametrize("header,payload", [
+    (le64(5) + le64(6), b"xyz"),
+    (b"", b"xyz"),
+    (le64(5), b""),
+    (b"", b""),
+    (le64(7), ALL_BYTES[::-1] + ALL_BYTES),
+], ids=["plain", "empty-header", "empty-payload", "both-empty", "all-byte-values"])
+def test_block_stream_lanes_match_scalar_blocks(header, payload, nbits):
+    # 1-block (n <= 64), 2-block (65..128) and longer streams
+    assert block_stream(header, payload, nbits) == per_block_stream(header, payload, nbits)
+
+
+def test_block_stream_pinned_digest():
+    # computed with the scalar one-hash-per-block implementation
+    stream = block_stream(le64(1) + le64(2), ALL_BYTES * 8, 8192)
+    assert (hashlib.sha256(stream.to_bytes()).hexdigest()
+            == "c06641f5d04d99bce1cc0a0f53786fae12d23493d28998c97e4ce26357127178")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,25 @@ def test_tradeoff_requires_q(capsys):
     code, _, stderr = run(capsys, "tradeoff", "--k", "4")
     assert code == 3
     assert "--q" in stderr or "all-q" in stderr
+
+
+def test_tradeoff_rejects_q_with_all_q(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tradeoff", "--k", "4", "--q", "2", "--all-q"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument --q" in captured.err
+
+
+def test_gen_man_oversized_exits_fast(capsys, tmp_path):
+    out = tmp_path / "man.pda"
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "gen", "man", "--k", "30", "--i", "15",
+                               "--out", str(out))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and stdout == "" and not out.exists()
+    assert stderr.startswith("error: man(30,15) has ")
 
 
 def test_simulate_toy(capsys, ex1_path):

@@ -6,6 +6,7 @@ import pytest
 
 from pdamr import (
     STAR,
+    ArrayTooLargeError,
     full_star_pda,
     man_pda,
     p1_pda,
@@ -13,6 +14,7 @@ from pdamr import (
     pda_stats,
     validate_pda,
 )
+from pdamr import constructions
 
 EXAMPLE_GRID = (
     (STAR, STAR, 1, 2),
@@ -169,3 +171,24 @@ def test_p1_beats_subset_family_file_count():
     for q in range(2, 5):
         for m in range(2, 5):
             assert p1_pda(q, m).f < math.comb(m * q, m)
+
+
+@pytest.mark.parametrize("k,i", [(30, 15), (20, 10), (2000, 1)])
+def test_man_rejects_oversized_arrays(k, i):
+    cells = math.comb(k, i) * k
+    with pytest.raises(ArrayTooLargeError, match=rf"man\({k},{i}\) has {cells} cells"):
+        man_pda(k, i)
+
+
+def test_man_cell_limit_is_inclusive(monkeypatch):
+    # man(5,2) has C(5,2) * 5 = 50 cells
+    monkeypatch.setattr(constructions, "MAX_CELLS", 50)
+    assert man_pda(5, 2).f == 10
+    monkeypatch.setattr(constructions, "MAX_CELLS", 49)
+    with pytest.raises(ArrayTooLargeError):
+        man_pda(5, 2)
+
+
+def test_man_cell_limit_admits_benchmark_array():
+    # man(16,8), the largest array built by the tests, demos and benchmark
+    assert math.comb(16, 8) * 16 <= constructions.MAX_CELLS
