@@ -54,10 +54,6 @@ class Bits:
     def __len__(self) -> int:
         return self.nbits
 
-    def __add__(self, other: "Bits") -> "Bits":
-        """Concatenation: self's bits first."""
-        return Bits((self.value << other.nbits) | other.value, self.nbits + other.nbits)
-
     def __xor__(self, other: "Bits") -> "Bits":
         if self.nbits != other.nbits:
             raise ValueError(f"xor of unequal lengths ({self.nbits} vs {other.nbits})")

@@ -13,13 +13,24 @@ from itertools import combinations, product
 from .pda import STAR, Pda, canonical_relabel, validate_pda
 
 
-# Largest array, in cells (rows x columns), that ``man_pda`` builds: about 5x
-# man(16,8). Building one takes time and memory in proportion to its cells.
+# Largest array, in cells (rows x columns), that a family constructor builds:
+# about 5x man(16,8). Building one takes time and memory in proportion to its
+# cells.
 MAX_CELLS = 1_000_000
 
 
 class ArrayTooLargeError(ValueError):
     """The requested array has more cells than ``MAX_CELLS``."""
+
+
+def _check_cells(name: str, f_rows: int, k_nodes: int) -> None:
+    """Refuse the F x K array ``name`` above MAX_CELLS. Every constructor
+    calls this with F and K computed from its parameters, before it builds
+    any row."""
+    cells = f_rows * k_nodes
+    if cells > MAX_CELLS:
+        raise ArrayTooLargeError(
+            f"{name} has {cells} cells, above the limit of {MAX_CELLS}")
 
 
 def _finish(raw_grid) -> Pda:
@@ -46,10 +57,7 @@ def man_pda(k_nodes: int, i: int) -> Pda:
     if not 1 <= i <= k_nodes:
         raise ValueError(f"i must be in 1..{k_nodes}, got {i}")
     # the rank table has C(K, i+1) <= C(K, i) * K entries, so this bounds it too
-    cells = math.comb(k_nodes, i) * k_nodes
-    if cells > MAX_CELLS:
-        raise ArrayTooLargeError(
-            f"man({k_nodes},{i}) has {cells} cells, above the limit of {MAX_CELLS}")
+    _check_cells(f"man({k_nodes},{i})", math.comb(k_nodes, i), k_nodes)
 
     rank = {subset: r for r, subset in
             enumerate(combinations(range(1, k_nodes + 1), i + 1), start=1)}
@@ -81,6 +89,8 @@ def p1_pda(q: int, m: int) -> Pda:
         raise ValueError("q must be >= 2")
     if m < 1:
         raise ValueError("m must be >= 1")
+    # the loop below visits q**m = q * F vectors, at most the cell count
+    _check_cells(f"p1({q},{m})", q ** (m - 1), m * q)
 
     columns = _grid_columns(q, m)
     grid = []
@@ -115,6 +125,7 @@ def p2_pda(q: int, m: int) -> Pda:
         raise ValueError("q must be >= 2")
     if m < 1:
         raise ValueError("m must be >= 1")
+    _check_cells(f"p2({q},{m})", (q - 1) * q ** (m - 1), m * q)
 
     columns = _grid_columns(q, m)
     grid = []
@@ -140,4 +151,5 @@ def full_star_pda(k_nodes: int, f_rows: int) -> Pda:
     """All-star F x K array: every node stores everything, nothing is shuffled."""
     if k_nodes < 1 or f_rows < 1:
         raise ValueError("k_nodes and f_rows must be >= 1")
+    _check_cells(f"fullstar({k_nodes},{f_rows})", f_rows, k_nodes)
     return Pda(tuple(tuple(STAR for _ in range(k_nodes)) for _ in range(f_rows)))

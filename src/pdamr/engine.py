@@ -8,11 +8,11 @@ against a direct reference evaluation that ignores placement entirely.
 The synthetic workload is deterministic and nonlinear: files are FNV-1a
 counter streams of the job seed, each intermediate value is the first V bits
 of an FNV-1a block stream keyed by (function, file), and each reduce output
-hashes the concatenation of its function's intermediate values. Nothing in
+hashes its function's intermediate values packed end to end. Nothing in
 the shuffle or reduce path exploits any structure of these functions.
 
-Inside a transcript every coded block has the same width and every value is
-a plain int of known width; ``Bits`` objects appear only at the API edge.
+Every value is a plain int of known width from map to reduce; ``Bits``
+objects appear only in the signals and outputs a transcript returns.
 """
 
 from __future__ import annotations
@@ -95,44 +95,52 @@ def job_geometry(pda: Pda, job: JobSpec, q: int) -> Geometry:
 class Workload:
     """Lazy cache of files, intermediate values, and reference outputs for a job.
 
-    One instance can be shared across the transcripts of many active sets;
-    everything it produces is a pure function of the job.
+    Files are packed bytes, intermediate values V-bit ints, and reduce outputs
+    ``Bits``. One instance can be shared across the transcripts of many active
+    sets; everything it produces is a pure function of the job.
     """
 
     def __init__(self, job: JobSpec):
         self.job = job
-        self._files: dict[int, Bits] = {}
-        self._ivas: dict[tuple[int, int], Bits] = {}
-        self._reduced: dict[tuple[int, bytes], Bits] = {}
+        self._files: dict[int, bytes] = {}
+        self._ivas: dict[tuple[int, int], int] = {}
+        self._reduced: dict[tuple[int, tuple[int, ...]], Bits] = {}
         self._reference: dict[int, Bits] | None = None
 
-    def file(self, n: int) -> Bits:
-        """File n (1-based), W bits from the seeded counter stream."""
+    def file(self, n: int) -> bytes:
+        """File n (1-based): W bits of the seeded counter stream, packed MSB-first."""
         if n not in self._files:
             self._files[n] = block_stream(
-                le64(self.job.seed) + le64(n), b"", self.job.w_bits)
+                le64(self.job.seed) + le64(n), b"", self.job.w_bits).to_bytes()
         return self._files[n]
 
-    def iva(self, d: int, n: int) -> Bits:
+    def iva(self, d: int, n: int) -> int:
         """Intermediate value of function d on file n: first V bits of the
         block stream keyed by LE64(d) || LE64(n) over the file bytes."""
         key = (d, n)
         if key not in self._ivas:
             self._ivas[key] = block_stream(
-                le64(d) + le64(n), self.file(n).to_bytes(), self.job.v_bits)
+                le64(d) + le64(n), self.file(n), self.job.v_bits).value
         return self._ivas[key]
 
-    def reduce_output(self, d: int, ivas: list[Bits]) -> Bits:
+    def reduce_output(self, d: int, values: list[int]) -> Bits:
         """Reduce function d: first U bits of the block stream keyed by LE64(d)
-        over the concatenation of the N intermediate values of d.
+        over the N V-bit intermediate values of d, packed MSB-first with the
+        last byte zero-padded.
 
-        Memoized on (d, payload bytes): a hit needs byte-identical input, and
-        the output depends on nothing else."""
-        if len(ivas) != self.job.n_files:
+        Memoized on (d, values); the payload is packed only on a miss, and a
+        value outside 0..2**V-1 is refused there, so it is never cached."""
+        if len(values) != self.job.n_files:
             raise ValueError("reduce needs one intermediate value per file")
-        key = (d, Bits.concat(ivas).to_bytes())
+        key = (d, tuple(values))
         if key not in self._reduced:
-            self._reduced[key] = block_stream(le64(d), key[1], self.job.u_bits)
+            v = self.job.v_bits
+            if min(key[1]) < 0 or max(key[1]) >> v:
+                raise ValueError(f"intermediate values must fit in {v} bits")
+            bits = "".join([format(value, f"0{v}b") for value in key[1]])
+            pad = -len(bits) % 8
+            payload = (int(bits, 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
+            self._reduced[key] = block_stream(le64(d), payload, self.job.u_bits)
         return self._reduced[key]
 
     def reference(self) -> dict[int, Bits]:
@@ -195,18 +203,16 @@ class ActiveSetPlan:
     ``occurrences`` maps each surviving symbol to its positions (0-based row,
     1-based node label) inside the active columns. Symbols occurring once go
     to ``singleton_assignment`` (symbol -> responsible sender, the smallest
-    active node with a star in that row); symbols occurring g >= 2 times
-    appear in ``coded_symbols`` for each of their columns, and every
-    occurrence (row, node) has a ``split_plan`` entry listing the other
-    occurrence columns in ascending order, which label the g-1 equal parts of
-    its block.
+    active node with a star in that row); every occurrence (row, node) of a
+    symbol occurring g >= 2 times has a ``split_plan`` entry listing the
+    other occurrence columns in ascending order, which label the g-1 equal
+    parts of its block.
     """
 
     active: tuple[int, ...]
     subarray: Pda
     occurrences: dict[int, tuple[tuple[int, int], ...]]
     singleton_assignment: dict[int, int]
-    coded_symbols: dict[int, tuple[int, ...]]
     split_plan: dict[tuple[int, int], tuple[int, ...]]
     reduce_assignment: dict[int, tuple[int, ...]]
 
@@ -218,7 +224,7 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
     EmptyStarRowError if the restriction to the active columns leaves a row
     uncovered (the excluded outage case).
     """
-    active = tuple(sorted(set(active)))
+    active = tuple(sorted(active))
     q = len(active)
     subarray = column_subarray(pda, active)
 
@@ -237,17 +243,14 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
             occurrences[sym] = kept
 
     singleton_assignment: dict[int, int] = {}
-    coded_symbols: dict[int, list[int]] = {k: [] for k in active}
     split_plan: dict[tuple[int, int], tuple[int, ...]] = {}
     for sym, places in occurrences.items():
         if len(places) == 1:
             i = places[0][0]
-            sender = min(k for k in active if pda.grid[i][k - 1] == STAR)
-            singleton_assignment[sym] = sender
+            singleton_assignment[sym] = min(k for k in active if pda.grid[i][k - 1] == STAR)
         else:
             columns = sorted(k for _, k in places)
             for i, k in places:
-                coded_symbols[k].append(sym)
                 split_plan[(i, k)] = tuple(c for c in columns if c != k)
 
     functions = range(1, job.d_functions + 1)
@@ -260,7 +263,6 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
         subarray=subarray,
         occurrences=occurrences,
         singleton_assignment=singleton_assignment,
-        coded_symbols={k: tuple(v) for k, v in coded_symbols.items()},
         split_plan=split_plan,
         reduce_assignment=reduce_assignment,
     )
@@ -312,7 +314,7 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     def block(i: int, j: int) -> int:
         value = 0
         for d, n in pairs(i, j):
-            value = value << v | wl.iva(d, n).value
+            value = value << v | wl.iva(d, n)
         return value
 
     def require_stored(k: int, rows, rule: str) -> None:
@@ -362,10 +364,8 @@ def run_transcript(pda: Pda, job: JobSpec, active,
              for k in plan.active}
     for (i, k), value in decoded.items():
         for p, (d, n) in enumerate(reversed(pairs(i, k))):
-            got, want = value >> (p * v) & ((1 << v) - 1), wl.iva(d, n)
-            values_match &= got == want.value
-            # an equal map output stands in for the decoded bits: no new Bits
-            known[k][(d, n)] = want if got == want.value else Bits(got, v)
+            known[k][(d, n)] = got = value >> (p * v) & ((1 << v) - 1)
+            values_match &= got == wl.iva(d, n)
     outputs = {k: {d: wl.reduce_output(d, [known[k][(d, n)] for n in range(1, job.n_files + 1)])
                    for d in plan.reduce_assignment[k]}
                for k in plan.active}

@@ -126,10 +126,6 @@ class Pda:
     def stars_in_row(self, i: int) -> int:
         return self.grid[i].count(STAR)
 
-    def star_columns(self, i: int) -> tuple[int, ...]:
-        """0-based columns holding a star in row ``i``."""
-        return tuple(j for j, entry in enumerate(self.grid[i]) if entry == STAR)
-
     def star_rows(self, j: int) -> tuple[int, ...]:
         """0-based rows holding a star in column ``j``."""
         return tuple(i for i in range(self.f) if self.grid[i][j] == STAR)

@@ -184,6 +184,21 @@ def test_gen_man_oversized_exits_fast(capsys, tmp_path):
     assert stderr.startswith("error: man(30,15) has ")
 
 
+@pytest.mark.parametrize("argv,name", [
+    (("gen", "p1", "--q", "40", "--m", "6"), "p1(40,6)"),
+    (("gen", "p2", "--q", "2", "--m", "40"), "p2(2,40)"),
+    (("gen", "fullstar", "--k", "3", "--f", "100000000"), "fullstar(3,100000000)"),
+    (("prop1", "--k", "100", "--r", "50", "--q-active", "60"), "p1(2,50)"),
+], ids=["p1", "p2", "fullstar", "prop1"])
+def test_oversized_family_exits_fast(capsys, tmp_path, argv, name):
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and stdout == "" and not out.exists()
+    assert stderr.startswith(f"error: {name} has ")
+
+
 def test_simulate_toy(capsys, ex1_path):
     code, stdout, _ = run(capsys, "simulate", "--pda", ex1_path, "--q", "3",
                           "--files", "6", "--functions", "3", "--iva-bits", "120")
@@ -239,6 +254,22 @@ def test_simulate_mismatch_exit_code(capsys, ex1_path, monkeypatch):
     code, _, _ = run(capsys, "simulate", "--pda", ex1_path, "--q", "3",
                      "--files", "6", "--functions", "3", "--iva-bits", "120")
     assert code == 4
+
+
+def test_simulate_reference_mismatch_exit_code(capsys, ex1_path, monkeypatch):
+    # loads that match but a reduced output that does not is still exit 4,
+    # and the report is written before the exit
+    real = cli.measure_loads
+
+    def wrong_outputs(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), all_reference_match=False)
+
+    monkeypatch.setattr(cli, "measure_loads", wrong_outputs)
+    code, stdout, _ = run(capsys, "simulate", "--pda", ex1_path, "--q", "3",
+                          "--files", "6", "--functions", "3", "--iva-bits", "120")
+    assert code == 4
+    results = json.loads(stdout)["results"]
+    assert results["match"] is True and results["all_reference_match"] is False
 
 
 def test_simulate_engine_defect_exit_code(capsys, tmp_path, monkeypatch):

@@ -192,3 +192,23 @@ def test_man_cell_limit_is_inclusive(monkeypatch):
 def test_man_cell_limit_admits_benchmark_array():
     # man(16,8), the largest array built by the tests, demos and benchmark
     assert math.comb(16, 8) * 16 <= constructions.MAX_CELLS
+
+
+# a small array of each other family with its F x K cell count
+@pytest.mark.parametrize("build,args,cells", [
+    (p1_pda, (2, 2), 8),
+    (p2_pda, (3, 2), 36),
+    (full_star_pda, (3, 2), 6),
+], ids=["p1", "p2", "fullstar"])
+def test_other_families_share_the_inclusive_cell_limit(monkeypatch, build, args, cells):
+    monkeypatch.setattr(constructions, "MAX_CELLS", cells)
+    pda = build(*args)
+    assert pda.f * pda.k == cells
+    monkeypatch.setattr(constructions, "MAX_CELLS", cells - 1)
+    with pytest.raises(ArrayTooLargeError, match=f"has {cells} cells"):
+        build(*args)
+
+
+def test_cell_limit_admits_largest_prop1_array():
+    # p2(3,8), the largest family array of the benchmark's prop1 sweep
+    assert (3 - 1) * 3 ** 7 * 24 == 104_976 <= constructions.MAX_CELLS

@@ -1,6 +1,7 @@
 """Placement, shuffle planning, transcripts, and exact load measurement."""
 
 import dataclasses
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -92,7 +93,6 @@ def test_plan_example_active_set():
     # every symbol survives at least twice here, so none are singletons
     assert plan.singleton_assignment == {}
     assert {s: len(p) for s, p in plan.occurrences.items()} == {1: 2, 2: 3, 3: 2, 4: 2}
-    assert plan.coded_symbols == {1: (1, 2, 3), 2: (1, 2, 4), 4: (2, 3, 4)}
     # the three-occurrence symbol splits against the two other columns
     assert plan.split_plan[(0, 4)] == (1, 2)
     assert plan.split_plan[(2, 2)] == (1, 4)
@@ -110,7 +110,6 @@ def test_plan_singletons():
     job = JobSpec(2, 3, 8, 24, 8, 0)
     plan = plan_active_set(p1_pda(2, 2), [1, 2, 3], job)
     assert plan.singleton_assignment == {2: 2}
-    assert plan.coded_symbols == {1: (), 2: (1,), 3: (1,)}
 
 
 def test_plan_divisibility_errors():
@@ -126,6 +125,15 @@ def test_plan_outage():
         plan_active_set(p1_pda(2, 2), [2, 4], JobSpec(2, 2, 8, 8, 8, 0))
 
 
+def test_plan_rejects_duplicate_active_nodes():
+    # a repeated node is an error, not the smaller set it would collapse to
+    job = JobSpec(2, 2, 8, 8, 8, 0)
+    with pytest.raises(ValueError, match="nodes must be distinct"):
+        plan_active_set(full_star_pda(3, 1), [1, 1, 2], job)
+    with pytest.raises(ValueError, match="nodes must be distinct"):
+        run_transcript(full_star_pda(3, 1), job, [1, 1, 2])
+
+
 def test_toy_transcript_totals():
     report = run_transcript(EX1, TOY, [1, 2, 4])
     assert report.total_bits == 900  # 7.5 V
@@ -137,16 +145,21 @@ def test_toy_transcript_signal_table():
     # the worked example's shuffle table, bit for bit
     wl = Workload(TOY)
     report = run_transcript(EX1, TOY, [1, 2, 4], workload=wl)
-    half = lambda d, n, i: wl.iva(d, n).split(2)[i]
-    assert report.signals[(1, 1)] == wl.iva(2, 2)
-    assert report.signals[(2, 1)] == wl.iva(1, 4)
-    assert report.signals[(1, 3)] == wl.iva(3, 2)
-    assert report.signals[(4, 3)] == wl.iva(1, 6)
-    assert report.signals[(2, 4)] == wl.iva(3, 4)
-    assert report.signals[(4, 4)] == wl.iva(2, 6)
-    assert report.signals[(1, 2)] == half(2, 3, 0) ^ half(3, 1, 0)
-    assert report.signals[(2, 2)] == half(3, 1, 1) ^ half(1, 5, 0)
-    assert report.signals[(4, 2)] == half(1, 5, 1) ^ half(2, 3, 1)
+    v = TOY.v_bits
+
+    def half(d, n, i):  # first (i = 0) or second half of a V-bit value
+        return wl.iva(d, n) >> (v // 2) * (1 - i) & ((1 << v // 2) - 1)
+
+    whole = {(1, 1): wl.iva(2, 2), (2, 1): wl.iva(1, 4), (1, 3): wl.iva(3, 2),
+             (4, 3): wl.iva(1, 6), (2, 4): wl.iva(3, 4), (4, 4): wl.iva(2, 6)}
+    halves = {(1, 2): half(2, 3, 0) ^ half(3, 1, 0),
+              (2, 2): half(3, 1, 1) ^ half(1, 5, 0),
+              (4, 2): half(1, 5, 1) ^ half(2, 3, 1)}
+    expected = {**{key: Bits(value, v) for key, value in whole.items()},
+                **{key: Bits(value, v // 2) for key, value in halves.items()}}
+    assert report.signals == expected
+    # the halves are those of the packed bits, first half first
+    assert [Bits(half(2, 3, i), v // 2) for i in (0, 1)] == Bits(wl.iva(2, 3), v).split(2)
 
 
 def test_transcript_same_total_for_every_active_set():
@@ -215,6 +228,12 @@ def test_measured_loads_sampled():
     assert report == again
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_measured_loads_rejects_no_samples(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        measure_loads(EX1, TOY, 3, samples=samples)
+
+
 def test_optimal_scheme_stores_uniformly():
     # schemes sitting exactly on the tradeoff store every file the same
     # number of times
@@ -238,6 +257,34 @@ def test_reference_oracle():
     assert reference_oracle(tiny) == reference_oracle(JobSpec(1, 1, 16, 16, 16, 3))
     # different seeds give different files, hence different outputs
     assert reference_oracle(tiny) != reference_oracle(JobSpec(1, 1, 16, 16, 16, 4))
+
+
+# sha256 of the concatenated ``to_bytes()`` of every reference output, d
+# ascending. V = 60 is not a byte multiple, so values straddle byte
+# boundaries; with N = 5 the 300-bit reduce payload also ends in 4 pad bits.
+PINNED_REFERENCE = {
+    6: "e4a9add3464db97a100f8ce0d5a47822f3b764d6f7a506841a4ac3301d0808e7",
+    5: "bb0342698f6f9d60721147aee6969e3dea7ef1f9bc394455f8ce673b0a3a0e69",
+}
+
+
+@pytest.mark.parametrize("n_files", list(PINNED_REFERENCE))
+def test_reference_oracle_pinned_digest(n_files):
+    outputs = reference_oracle(JobSpec(n_files, 3, 64, 60, 64, seed=7))
+    assert list(outputs) == [1, 2, 3]
+    digest = hashlib.sha256(b"".join(out.to_bytes() for out in outputs.values()))
+    assert digest.hexdigest() == PINNED_REFERENCE[n_files]
+
+
+def test_reduce_output_rejects_bad_values():
+    wl = Workload(TOY)
+    ivas = [wl.iva(1, n) for n in range(1, 7)]
+    with pytest.raises(ValueError, match="one intermediate value per file"):
+        wl.reduce_output(1, ivas[:5])
+    for bad in (1 << TOY.v_bits, -1):
+        with pytest.raises(ValueError, match="fit in 120 bits"):
+            wl.reduce_output(1, ivas[:5] + [bad])
+    assert wl.reduce_output(1, ivas) == wl.reference()[1]
 
 
 def test_workload_iva_depends_on_file_content():
@@ -321,7 +368,7 @@ class DriftingWorkload(Workload):
     def iva(self, d, n):
         value = super().iva(d, n)
         if self._reference is not None and (d, n) == (1, 4):
-            value = value ^ Bits(1, len(value))
+            value ^= 1
         return value
 
 
@@ -345,7 +392,7 @@ class FlakyMap(Workload):
         value = super().iva(d, n)
         if self._reference is not None and (d, n) == (1, 4) and not self.flipped:
             self.flipped = True
-            value = value ^ Bits(1, len(value))
+            value ^= 1
         return value
 
     def reduce_output(self, d, ivas):
@@ -366,12 +413,13 @@ def test_decoded_values_are_checked_one_by_one():
 def test_reduce_memo_never_serves_another_payload():
     wl = Workload(TOY)
     ivas = [wl.iva(2, n) for n in range(1, 7)]
-    flipped = ivas[:3] + [ivas[3] ^ Bits(1 << 50, 120)] + ivas[4:]
+    flipped = ivas[:3] + [ivas[3] ^ (1 << 50)] + ivas[4:]
     results = [wl.reduce_output(2, payload) for payload in (ivas, flipped, ivas, flipped)]
     assert results[0] != results[1]
     assert results[2:] == results[:2]
     for payload, got in zip((ivas, flipped), results):
-        assert got == block_stream(le64(2), Bits.concat(payload).to_bytes(), TOY.u_bits)
+        packed = b"".join(value.to_bytes(15, "big") for value in payload)  # V = 120
+        assert got == block_stream(le64(2), packed, TOY.u_bits)
 
 
 def stacked(*parts):

@@ -22,6 +22,7 @@ from pdamr import (
     optimal_load,
     p1_pda,
     p2_pda,
+    parse_pda,
     pda_stats,
     prop1_check,
     tradeoff_curve,
@@ -131,6 +132,13 @@ def test_achieved_load_trivial_and_p1():
 def test_achieved_load_insufficient_tau():
     with pytest.raises(InsufficientTauError):
         achieved_load(man_pda(4, 2), 1)  # tau = 2 < K - Q + 1 = 4
+
+
+def test_achieved_load_rejects_starless_row():
+    # a valid PDA whose second row has no star is not a Comp-PDA
+    pda = parse_pda("2 2\n* *\n1 2\n")
+    with pytest.raises(ValueError, match="not a Comp-PDA"):
+        achieved_load(pda, 2)
 
 
 def test_achieved_load_regular_identity():

@@ -76,6 +76,8 @@ def test_parse_rejects_repeated_symbol_in_row():
     ("", "empty"),
     ("abc\n", "header"),
     ("2 2 2\n", "header"),
+    ("2 x\n* *\n", "header must hold two integers"),
+    ("1.5 2\n* *\n", "header must hold two integers"),
     ("0 3\n", "degenerate"),
     ("3 0\n", "degenerate"),
     ("2 2\n* *\n", "expected 2 grid rows"),
@@ -132,6 +134,18 @@ def test_validate_canonical_rules():
     assert rules == {"coverage", "numbering"}
     report = validate_pda(((1, STAR), (STAR, 3)))
     assert {v.rule for v in report.violations} == {"coverage", "numbering"}
+
+
+def test_validate_reports_bad_symbols():
+    report = validate_pda(((STAR, -1), (STAR, "x")), require_canonical=False)
+    assert [(v.rule, v.rows, v.cols) for v in report.violations] == [
+        ("symbol", (1,), (2,)), ("symbol", (2,), (2,))]
+    assert report.params is None
+    assert "not a star or a positive integer" in report.summary()
+
+
+def test_validation_summary_of_valid_grid():
+    assert validate_pda(EXAMPLE_GRID).summary() == "OK: (4,6,12,4) PDA"
 
 
 def test_validate_all_star_ok():
@@ -220,7 +234,6 @@ def test_subarray_argument_checks():
 
 def test_pda_helpers():
     pda = parse_pda(EXAMPLE_TEXT)
-    assert pda.star_columns(0) == (0, 1)
     assert pda.star_rows(0) == (0, 1, 2)
     assert pda.stars_in_row(5) == 2
     assert Pda(EXAMPLE_GRID) == pda
