@@ -23,11 +23,13 @@ class ArrayTooLargeError(ValueError):
     """The requested array has more cells than ``MAX_CELLS``."""
 
 
-def _check_cells(name: str, f_rows: int, k_nodes: int) -> None:
-    """Refuse the F x K array ``name`` above MAX_CELLS. Every constructor
-    calls this with F and K computed from its parameters, before it builds
-    any row."""
-    cells = f_rows * k_nodes
+def _check_cells(name: str, count_rows, k_nodes: int, row_bits: int) -> None:
+    """Refuse the F x K array ``name`` above MAX_CELLS before any row is built.
+    A cheap lower bound ``row_bits`` on F's bit length refuses arrays above
+    MAX_CELLS**2 cells before ``count_rows()``, which may take seconds."""
+    if row_bits + k_nodes.bit_length() - 1 > 2 * MAX_CELLS.bit_length():
+        raise ArrayTooLargeError(f"{name} has more cells than the limit of {MAX_CELLS}")
+    cells = count_rows() * k_nodes
     if cells > MAX_CELLS:
         raise ArrayTooLargeError(
             f"{name} has {cells} cells, above the limit of {MAX_CELLS}")
@@ -56,8 +58,9 @@ def man_pda(k_nodes: int, i: int) -> Pda:
         raise ValueError("k_nodes must be >= 1")
     if not 1 <= i <= k_nodes:
         raise ValueError(f"i must be in 1..{k_nodes}, got {i}")
-    # the rank table has C(K, i+1) <= C(K, i) * K entries, so this bounds it too
-    _check_cells(f"man({k_nodes},{i})", math.comb(k_nodes, i), k_nodes)
+    # C(K,i) >= 2**min(i,K-i); the rank table's C(K,i+1) <= C(K,i)*K is bounded too
+    _check_cells(f"man({k_nodes},{i})", lambda: math.comb(k_nodes, i), k_nodes,
+                 min(i, k_nodes - i) + 1)
 
     rank = {subset: r for r, subset in
             enumerate(combinations(range(1, k_nodes + 1), i + 1), start=1)}
@@ -90,7 +93,8 @@ def p1_pda(q: int, m: int) -> Pda:
     if m < 1:
         raise ValueError("m must be >= 1")
     # the loop below visits q**m = q * F vectors, at most the cell count
-    _check_cells(f"p1({q},{m})", q ** (m - 1), m * q)
+    _check_cells(f"p1({q},{m})", lambda: q ** (m - 1), m * q,
+                 (m - 1) * (q.bit_length() - 1) + 1)
 
     columns = _grid_columns(q, m)
     grid = []
@@ -125,7 +129,8 @@ def p2_pda(q: int, m: int) -> Pda:
         raise ValueError("q must be >= 2")
     if m < 1:
         raise ValueError("m must be >= 1")
-    _check_cells(f"p2({q},{m})", (q - 1) * q ** (m - 1), m * q)
+    _check_cells(f"p2({q},{m})", lambda: (q - 1) * q ** (m - 1), m * q,
+                 (m - 1) * (q.bit_length() - 1) + 1)
 
     columns = _grid_columns(q, m)
     grid = []
@@ -151,5 +156,6 @@ def full_star_pda(k_nodes: int, f_rows: int) -> Pda:
     """All-star F x K array: every node stores everything, nothing is shuffled."""
     if k_nodes < 1 or f_rows < 1:
         raise ValueError("k_nodes and f_rows must be >= 1")
-    _check_cells(f"fullstar({k_nodes},{f_rows})", f_rows, k_nodes)
+    _check_cells(f"fullstar({k_nodes},{f_rows})", lambda: f_rows, k_nodes,
+                 f_rows.bit_length())
     return Pda(tuple(tuple(STAR for _ in range(k_nodes)) for _ in range(f_rows)))

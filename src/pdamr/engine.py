@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .bits import Bits, block_stream, le64
 from .loads import LoadPair, achieved_load
-from .pda import STAR, Pda, column_subarray
+from .pda import Pda, column_subarray
 
 
 class DivisibilityError(ValueError):
@@ -235,23 +235,22 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
             f"so coded blocks split evenly",
             divisor=need, value=block_bits)
 
-    columns = set(active)
+    active_mask = sum(1 << (k - 1) for k in active)
     occurrences: dict[int, tuple[tuple[int, int], ...]] = {}
-    for sym, places in sorted(pda.occurrences.items()):
-        kept = tuple((i, j + 1) for i, j in places if j + 1 in columns)
-        if kept:
-            occurrences[sym] = kept
-
     singleton_assignment: dict[int, int] = {}
     split_plan: dict[tuple[int, int], tuple[int, ...]] = {}
-    for sym, places in occurrences.items():
+    for sym in sorted(pda.occurrences):
+        places = tuple((i, j + 1) for i, j in pda.occurrences[sym] if active_mask >> j & 1)
+        if places:
+            occurrences[sym] = places
         if len(places) == 1:
-            i = places[0][0]
-            singleton_assignment[sym] = min(k for k in active if pda.grid[i][k - 1] == STAR)
-        else:
-            columns = sorted(k for _, k in places)
+            senders = pda.row_star_masks[places[0][0]] & active_mask
+            singleton_assignment[sym] = (senders & -senders).bit_length()
+        elif places:
+            columns = tuple(sorted(k for _, k in places))
             for i, k in places:
-                split_plan[(i, k)] = tuple(c for c in columns if c != k)
+                p = columns.index(k)
+                split_plan[(i, k)] = columns[:p] + columns[p + 1:]
 
     functions = range(1, job.d_functions + 1)
     reduce_assignment = {
@@ -305,20 +304,18 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     plan = plan_active_set(pda, active, job)
     eta, block_bits, _ = job_geometry(pda, job, len(plan.active))
     v = job.v_bits
-    stored = {k: set(pda.star_rows(k - 1)) for k in plan.active}
+    iva = wl.iva
+    masks = pda.row_star_masks
 
-    def pairs(i: int, j: int) -> list[tuple[int, int]]:
-        """(d, n) of the values node j needs from batch i, in block order."""
-        return [(d, n) for d in plan.reduce_assignment[j] for n in batch_files(i, eta)]
-
-    def block(i: int, j: int) -> int:
+    def block(i: int, j: int) -> int:  # node j's values of batch i, function-major
         value = 0
-        for d, n in pairs(i, j):
-            value = value << v | wl.iva(d, n)
+        for d in plan.reduce_assignment[j]:
+            for n in batch_files(i, eta):
+                value = value << v | iva(d, n)
         return value
 
     def require_stored(k: int, rows, rule: str) -> None:
-        missing = set(rows) - stored[k]
+        missing = [i for i in rows if not masks[i] >> (k - 1) & 1]
         if missing:
             raise EngineDefectError(
                 f"node {k} lacks batch {min(missing) + 1}, which the {rule} promises")
@@ -335,22 +332,32 @@ def run_transcript(pda: Pda, job: JobSpec, active,
             signals[(sender, sym)] = decoded[(i, j)] = block(i, j)
             continue
         width[sym] = w = block_bits // (len(places) - 1)
-        part: dict[tuple[int, int, int], int] = {}  # (row, node, label) -> part
+        low = (1 << w) - 1
+        # cross-star rule, checked per row; a failure walks the pairs for the message
+        column_mask = sum(1 << (j - 1) for _, j in places)
+        if any((masks[i] | 1 << (j - 1)) & column_mask != column_mask for i, j in places):
+            for i, j in places:
+                require_stored(j, [i2 for i2, j2 in places if j2 != j], "cross-star rule")
+        parts = {j: [] for _, j in places}  # label -> [(column, part)]
         for i, j in places:
-            require_stored(j, [i2 for i2, j2 in places if j2 != j], "cross-star rule")
             value = block(i, j)
-            for p, label in enumerate(reversed(plan.split_plan[(i, j)])):
-                part[(i, j, label)] = value >> (p * w) & ((1 << w) - 1)
-        for (_, _, label), value in part.items():  # each node XORs the parts labeled with it
-            signals[(label, sym)] = signals.get((label, sym), 0) ^ value
-        for i, k in places:
-            decoded[(i, k)] = 0
+            for label in reversed(plan.split_plan[(i, j)]):
+                parts[label].append((j, value & low))
+                value >>= w
+        for label, labelled in parts.items():  # each node XORs the parts labeled with it
+            signal = 0
+            for _, part in labelled:
+                signal ^= part
+            signals[(label, sym)] = signal
+        for i, k in places:  # the signal minus the parts of the other columns
+            value = 0
             for label in plan.split_plan[(i, k)]:
-                acc = signals[(label, sym)]
-                for i2, j2 in places:
-                    if j2 not in (k, label):
-                        acc ^= part[(i2, j2, label)]
-                decoded[(i, k)] = decoded[(i, k)] << w | acc
+                own = signals[(label, sym)]
+                for j, part in parts[label]:
+                    if j != k:
+                        own ^= part
+                value = value << w | own
+            decoded[(i, k)] = value
 
     per_node_bits = {k: 0 for k in plan.active}
     per_symbol_bits: dict[int, int] = {}
@@ -358,16 +365,25 @@ def run_transcript(pda: Pda, job: JobSpec, active,
         per_node_bits[k] += width[sym]
         per_symbol_bits[sym] = per_symbol_bits.get(sym, 0) + width[sym]
 
-    values_match = True
-    known = {k: {(d, n): wl.iva(d, n) for d in plan.reduce_assignment[k]
-                 for i in stored[k] for n in batch_files(i, eta)}
+    # node -> function -> value of file n at n-1, mapped if stored, else decoded
+    known = {k: {d: [iva(d, n) if masks[(n - 1) // eta] >> (k - 1) & 1 else None
+                     for n in range(1, job.n_files + 1)]
+                 for d in plan.reduce_assignment[k]}
              for k in plan.active}
+    values_match = True
     for (i, k), value in decoded.items():
-        for p, (d, n) in enumerate(reversed(pairs(i, k))):
-            known[k][(d, n)] = got = value >> (p * v) & ((1 << v) - 1)
-            values_match &= got == wl.iva(d, n)
-    outputs = {k: {d: wl.reduce_output(d, [known[k][(d, n)] for n in range(1, job.n_files + 1)])
-                   for d in plan.reduce_assignment[k]}
+        shift = block_bits
+        for d in plan.reduce_assignment[k]:
+            for n in batch_files(i, eta):
+                shift -= v
+                known[k][d][n - 1] = got = value >> shift & ((1 << v) - 1)
+                values_match &= got == iva(d, n)
+    for k in plan.active:
+        for d in plan.reduce_assignment[k]:
+            if None in known[k][d]:
+                raise EngineDefectError(f"node {k} neither stores nor decodes file "
+                                        f"{known[k][d].index(None) + 1}, which function {d} needs")
+    outputs = {k: {d: wl.reduce_output(d, known[k][d]) for d in plan.reduce_assignment[k]}
                for k in plan.active}
 
     reference = wl.reference()

@@ -118,6 +118,11 @@ class Pda:
                     occ.setdefault(entry, []).append((i, j))
         return {sym: tuple(pos) for sym, pos in occ.items()}
 
+    @cached_property
+    def row_star_masks(self) -> tuple[int, ...]:
+        """Per row, a bitmask with bit j set when 0-based column j is a star."""
+        return tuple(sum(1 << j for j, e in enumerate(row) if e == STAR) for row in self.grid)
+
     @property
     def params(self) -> tuple[int, int, int, int]:
         """(K, F, T, S)."""

@@ -199,6 +199,23 @@ def test_oversized_family_exits_fast(capsys, tmp_path, argv, name):
     assert stderr.startswith(f"error: {name} has ")
 
 
+@pytest.mark.parametrize("argv,name", [
+    (("gen", "man", "--k", "1000000", "--i", "500000"), "man(1000000,500000)"),
+    (("gen", "p1", "--q", "3", "--m", "10000001"), "p1(3,10000001)"),
+    (("gen", "p2", "--q", "3", "--m", "10000001"), "p2(3,10000001)"),
+    # 10**4999 rows: a count with more digits than int-to-str allows
+    (("gen", "p1", "--q", "10", "--m", "5000"), "p1(10,5000)"),
+], ids=["man", "p1", "p2", "p1-unprintable"])
+def test_absurd_family_parameters_exit_fast(capsys, tmp_path, argv, name):
+    # refused from a cheap lower bound, before the exact row count
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and stdout == "" and not out.exists()
+    assert stderr == f"error: {name} has more cells than the limit of 1000000\n"
+
+
 def test_simulate_toy(capsys, ex1_path):
     code, stdout, _ = run(capsys, "simulate", "--pda", ex1_path, "--q", "3",
                           "--files", "6", "--functions", "3", "--iva-bits", "120")

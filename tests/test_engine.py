@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -336,6 +337,21 @@ def test_broken_plan_is_an_engine_defect(monkeypatch):
         run_transcript(p1_pda(2, 2), job, [1, 2, 3])
 
 
+def drop_symbol(plan):
+    """``plan`` without its first symbol, so the nodes that need the blocks
+    under it neither store nor receive them."""
+    sym = next(iter(plan.occurrences))
+    return dataclasses.replace(
+        plan, occurrences={s: p for s, p in plan.occurrences.items() if s != sym})
+
+
+def test_dropped_occurrence_is_an_engine_defect(monkeypatch):
+    real = engine.plan_active_set
+    monkeypatch.setattr(engine, "plan_active_set", lambda *args: drop_symbol(real(*args)))
+    with pytest.raises(EngineDefectError, match="node 1 neither stores nor decodes file 4,"):
+        run_transcript(man_pda(4, 2), JobSpec(6, 3, 64, 120, 64, 7), [1, 2, 4])
+
+
 def test_cross_star_break_is_an_engine_defect():
     # built directly, so unvalidated: symbol 1 at (1,2) and (2,1) needs a
     # star at (2,2), which holds symbol 2 instead
@@ -488,3 +504,126 @@ def test_exhaustive_mode_draws_active_sets_lazily(monkeypatch):
     with pytest.raises(FirstTranscript):
         measure_loads(EX1, TOY, 3)
     assert drawn == [(1, 2, 3)]
+
+
+def transcript_digest(reports) -> str:
+    """sha256 over every field of each report, dict entries in their order."""
+    def table(mapping):
+        return [[key, value] for key, value in mapping.items()]
+
+    def bits_table(mapping):
+        return [[key, [value.value, value.nbits]] for key, value in mapping.items()]
+
+    blob = [{
+        "active": list(report.active),
+        "signals": bits_table(report.signals),
+        "per_node_bits": table(report.per_node_bits),
+        "per_symbol_bits": table(report.per_symbol_bits),
+        "total_bits": report.total_bits,
+        "outputs": [[k, bits_table(outputs)] for k, outputs in report.outputs.items()],
+        "reference_match": report.reference_match,
+    } for report in reports]
+    text = json.dumps(blob, separators=(",", ":"))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+MIXED = stacked(man_pda(5, 2), man_pda(5, 3), man_pda(5, 4))
+
+
+def pinned_jobs(pda, qs, files_per_row=1):
+    """One job per active-set size: D = Q, and V = 180 and U = 130 (three
+    blocks each), which split evenly for every Q <= 6."""
+    return [(q, JobSpec(pda.f * files_per_row, q, 64, 180, 130, seed=q)) for q in qs]
+
+
+# every active set of each (array, Q, job); the digests were computed with
+# the implementation that keyed each part by (row, node, label)
+PINNED_TRANSCRIPTS = {
+    "ex1-toy": (EX1, [(3, TOY)],
+                "db66de2a590734e42488565f7bf554c7224cc7d25e1dbad0270e0ce80ebf060e"),
+    "p1-2-2": (p1_pda(2, 2), pinned_jobs(p1_pda(2, 2), (3, 4), files_per_row=2),
+               "0f26ae521e00791df9bb28f6ea5bc8393041c81d10c3d17d92fbac21f5fe1c69"),
+    "p2-3-2": (p2_pda(3, 2), pinned_jobs(p2_pda(3, 2), (3, 4, 5, 6)),
+               "ded60a6e24693fd0696204b02d14115781dbe992ce570801f5a08d0b275d7c58"),
+    "mixed-stack": (MIXED, pinned_jobs(MIXED, (4, 5)),
+                    "c14af622bcb704157c52966d86c2f26838acbcf82aeadbef399076271c33c8f5"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_TRANSCRIPTS))
+def test_transcripts_pinned(name):
+    pda, jobs, expected = PINNED_TRANSCRIPTS[name]
+    reports = []
+    for q, job in jobs:
+        wl = Workload(job)
+        for active in itertools.combinations(range(1, pda.k + 1), q):
+            reports.append(run_transcript(pda, job, active, workload=wl))
+    assert all(report.reference_match for report in reports)
+    assert transcript_digest(reports) == expected
+
+
+def reference_plan(pda, active, job):
+    """The plan of ``active`` by its definition, scanning the grid: symbols
+    ascending, each with its active cells in row-major order; a singleton
+    is sent by the smallest active node with a star in its row; the other
+    occurrence columns, ascending, label the parts of each split block.
+    An outage gives the EmptyStarRowError that planning must raise."""
+    active = tuple(sorted(active))
+    q = len(active)
+    for i, row in enumerate(pda.grid):
+        if all(row[k - 1] != STAR for k in active):
+            return EmptyStarRowError(i + 1)
+    symbols = sorted({entry for row in pda.grid for entry in row if entry != STAR})
+    occurrences, singleton_assignment, split_plan = {}, {}, {}
+    for sym in symbols:
+        places = tuple((i, k) for i in range(pda.f) for k in active
+                       if pda.grid[i][k - 1] == sym)
+        if not places:
+            continue
+        occurrences[sym] = places
+        if len(places) == 1:
+            (i, _), = places
+            singleton_assignment[sym] = next(k for k in active if pda.grid[i][k - 1] == STAR)
+        else:
+            for i, k in places:
+                split_plan[(i, k)] = tuple(sorted(c for _, c in places if c != k))
+    return engine.ActiveSetPlan(
+        active=active,
+        subarray=Pda(tuple(tuple(row[k - 1] for k in active) for row in pda.grid)),
+        occurrences=occurrences,
+        singleton_assignment=singleton_assignment,
+        split_plan=split_plan,
+        reduce_assignment={k: tuple(d for d in range(1, job.d_functions + 1)
+                                    if (d - 1) % q == p) for p, k in enumerate(active)},
+    )
+
+
+# man(3,1) with labels 1..3 renamed 30, 4, 17, so not in first-occurrence
+# order and with gaps: the plan must list symbols by ascending label. Two
+# all-star columns give a singleton several candidate senders.
+RENAMED = Pda(tuple(tuple(STAR if e == STAR else (30, 4, 17)[e - 1] for e in row)
+                    + (STAR, STAR) for row in man_pda(3, 1).grid))
+
+
+@pytest.mark.parametrize("pda", [man_pda(6, 3), p2_pda(3, 2), MIXED, RENAMED],
+                         ids=["man-6-3", "p2-3-2", "mixed-stack", "renamed-labels"])
+def test_plan_matches_grid_scan(pda):
+    for j in range(pda.k):
+        assert pda.star_rows(j) == tuple(
+            i for i, mask in enumerate(pda.row_star_masks) if mask >> j & 1)
+    assert all(0 < mask < 1 << pda.k for mask in pda.row_star_masks)
+    job = JobSpec(pda.f, 60, 16, 60, 16, seed=1)  # splits evenly for every Q <= 6
+    for q in range(1, pda.k + 1):
+        for active in itertools.combinations(range(1, pda.k + 1), q):
+            want = reference_plan(pda, active, job)
+            if isinstance(want, EmptyStarRowError):
+                with pytest.raises(EmptyStarRowError) as err:
+                    plan_active_set(pda, active, job)
+                assert err.value.row == want.row
+                continue
+            plan = plan_active_set(pda, active, job)
+            for field in dataclasses.fields(plan):
+                got, expected = getattr(plan, field.name), getattr(want, field.name)
+                assert got == expected, field.name
+                if isinstance(expected, dict):
+                    assert list(got) == list(expected), field.name
