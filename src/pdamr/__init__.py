@@ -8,6 +8,7 @@ from .constructions import (
     man_pda,
     p1_pda,
     p2_pda,
+    stack_pda,
 )
 from .engine import (
     ActiveSetPlan,
@@ -46,6 +47,7 @@ from .loads import (
 from .pda import (
     STAR,
     EmptyStarRowError,
+    ParameterError,
     Pda,
     PdaFormatError,
     PdaStats,
@@ -65,7 +67,8 @@ __all__ = [
     "ActiveSetPlan", "ArrayTooLargeError", "BETA_BOUND", "Bits",
     "DivisibilityError",
     "EmptyStarRowError", "EngineDefectError", "InsufficientTauError",
-    "JobSpec", "LoadPair", "LoadReport", "NoMatchingFamilyError", "Pda",
+    "JobSpec", "LoadPair", "LoadReport", "NoMatchingFamilyError",
+    "ParameterError", "Pda",
     "PdaFormatError", "PdaStats", "PdaValidationError", "Placement",
     "Prop1Report", "STAR", "TradeoffCurve", "TranscriptReport",
     "ValidationReport", "Violation", "Workload", "achieved_load",
@@ -74,6 +77,6 @@ __all__ = [
     "measure_loads", "minimal_valid_v", "optimal_file_complexity",
     "optimal_load", "p1_pda", "p2_pda", "parse_pda", "pda_stats",
     "plan_active_set", "prop1_check", "reference_oracle", "render_pda",
-    "run_transcript", "storage_profile", "tradeoff_curve", "u_value",
+    "run_transcript", "stack_pda", "storage_profile", "tradeoff_curve", "u_value",
     "validate_pda", "z_value",
 ]

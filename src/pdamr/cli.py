@@ -1,10 +1,12 @@
 """Command-line front end: generate, validate and analyze PDAs, tabulate the
 fundamental tradeoff, and run bit-exact shuffle simulations.
 
-Exit codes: 0 success; 2 parse/validation failure; 3 divisibility or
-parameter failure; 4 measured load disagrees with the closed form, a
-reduced output disagrees with the reference, or the engine broke one of its
-own invariants (a defect, never a warning).
+Exit codes: 0 success; 2 parse/validation failure or usage error; 3 a
+parameter failure (``ParameterError``, which divisibility, tau, family and
+size errors derive from) or an unreadable or unwritable file; 4 measured
+load disagrees with the closed form, a reduced output disagrees with the
+reference, or an internal defect (``EngineDefectError`` or any other
+exception; a defect, never a warning).
 
 All reports are deterministic: rationals are rendered as lowest-terms "p/q"
 strings with 15-significant-digit decimals, JSON output is byte-stable for
@@ -16,13 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from . import __version__
 from .constructions import full_star_pda, man_pda, p1_pda, p2_pda
 from .engine import (
     DivisibilityError,
-    EngineDefectError,
     JobSpec,
     measure_loads,
     minimal_valid_v,
@@ -36,6 +38,7 @@ from .loads import (
     tradeoff_curve,
 )
 from .pda import (
+    ParameterError,
     PdaFormatError,
     PdaValidationError,
     column_subarray,
@@ -146,7 +149,11 @@ def cmd_stats(args) -> int:
 
 def cmd_subarray(args) -> int:
     pda = read_pda(args.pda)
-    nodes = [int(tok) for tok in args.nodes.split(",")]
+    try:
+        nodes = [int(tok) for tok in args.nodes.split(",")]
+    except ValueError:
+        raise ParameterError(
+            f"--nodes must be comma-separated integers, got {args.nodes!r}") from None
     sub = column_subarray(pda, nodes)
     emit(render_pda(sub), args.out)
     return EXIT_OK
@@ -179,7 +186,7 @@ def cmd_tradeoff(args) -> int:
     elif args.q is not None:
         q_values = [args.q]
     else:
-        raise ValueError("one of --q or --all-q is required")
+        raise ParameterError("one of --q or --all-q is required")
     rows = []
     for q in q_values:
         for r, l_star in tradeoff_curve(args.k, q).points:
@@ -356,12 +363,13 @@ def main(argv=None) -> int:
     except (PdaFormatError, PdaValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except EngineDefectError as exc:
-        print(f"error: internal defect: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (ValueError, OSError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
+    except Exception as exc:  # EngineDefectError or any other bug, never a bad parameter
+        print(f"error: internal defect: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

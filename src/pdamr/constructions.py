@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
-from .pda import STAR, Pda, canonical_relabel, validate_pda
+from .pda import STAR, ParameterError, Pda, PdaValidationError, _intake
 
 
 # Largest array, in cells (rows x columns), that a family constructor builds:
@@ -19,7 +19,7 @@ from .pda import STAR, Pda, canonical_relabel, validate_pda
 MAX_CELLS = 1_000_000
 
 
-class ArrayTooLargeError(ValueError):
+class ArrayTooLargeError(ParameterError):
     """The requested array has more cells than ``MAX_CELLS``."""
 
 
@@ -37,11 +37,11 @@ def _check_cells(name: str, count_rows, k_nodes: int, row_bits: int) -> None:
 
 def _finish(raw_grid) -> Pda:
     """Canonicalize and validate; a failure here is a construction bug."""
-    grid = canonical_relabel(raw_grid)
-    report = validate_pda(grid)
-    if not report.ok:
-        raise AssertionError(f"constructed grid is not a valid PDA:\n{report.summary()}")
-    return Pda(grid)
+    try:
+        return _intake(raw_grid)
+    except PdaValidationError as exc:
+        raise AssertionError(
+            f"constructed grid is not a valid PDA:\n{exc.report.summary()}") from None
 
 
 def man_pda(k_nodes: int, i: int) -> Pda:
@@ -55,27 +55,38 @@ def man_pda(k_nodes: int, i: int) -> Pda:
     array.
     """
     if k_nodes < 1:
-        raise ValueError("k_nodes must be >= 1")
+        raise ParameterError("k_nodes must be >= 1")
     if not 1 <= i <= k_nodes:
-        raise ValueError(f"i must be in 1..{k_nodes}, got {i}")
+        raise ParameterError(f"i must be in 1..{k_nodes}, got {i}")
     # C(K,i) >= 2**min(i,K-i); the rank table's C(K,i+1) <= C(K,i)*K is bounded too
     _check_cells(f"man({k_nodes},{i})", lambda: math.comb(k_nodes, i), k_nodes,
                  min(i, k_nodes - i) + 1)
 
-    rank = {subset: r for r, subset in
-            enumerate(combinations(range(1, k_nodes + 1), i + 1), start=1)}
-    grid = []
-    for row_subset in combinations(range(1, k_nodes + 1), i):
-        members = set(row_subset)
-        row = [STAR if k in members else rank[tuple(sorted(members | {k}))]
-               for k in range(1, k_nodes + 1)]
-        grid.append(row)
+    nodes = range(1, k_nodes + 1)
+    grid = [[STAR] * k_nodes for _ in range(math.comb(k_nodes, i))]
+    row_of = {subset: grid[r] for r, subset in enumerate(combinations(nodes, i))}
+    # the (i+1)-subset S of rank r sits in row S - {k}, column k, for each k
+    # in S; combinations(S, i) drops the members of S from the last one down
+    for r, subset in enumerate(combinations(nodes, i + 1), start=1):
+        for rest, k in zip(combinations(subset, i), reversed(subset)):
+            row_of[rest][k - 1] = r
     return _finish(grid)
 
 
-def _grid_columns(q: int, m: int) -> list[tuple[int, int]]:
-    """Column index pairs (group i, value j): column number (i-1)*q + j + 1."""
-    return [(i, j) for i in range(1, m + 1) for j in range(q)]
+def _grid_columns(q: int, m: int) -> list[tuple[int, int, int]]:
+    """Column index triples (group i, value j, q**(m-i)), column number
+    (i-1)*q + j + 1. A vector b of [0..q-1]**m is named by the int
+    1 + sum_i b_i * q**(m-i), its base-q code plus one, so no name is STAR;
+    setting b_i to j adds (j - b_i) * q**(m-i) to the name."""
+    return [(i, j, q ** (m - i)) for i in range(1, m + 1) for j in range(q)]
+
+
+def _name(b: tuple[int, ...], q: int) -> int:
+    """The int that names vector ``b`` (see ``_grid_columns``)."""
+    code = 0
+    for digit in b:
+        code = code * q + digit
+    return code + 1
 
 
 def p1_pda(q: int, m: int) -> Pda:
@@ -89,9 +100,9 @@ def p1_pda(q: int, m: int) -> Pda:
     symbol named by b with coordinate i replaced by j.
     """
     if q < 2:
-        raise ValueError("q must be >= 2")
+        raise ParameterError("q must be >= 2")
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ParameterError("m must be >= 1")
     # the loop below visits q**m = q * F vectors, at most the cell count
     _check_cells(f"p1({q},{m})", lambda: q ** (m - 1), m * q,
                  (m - 1) * (q.bit_length() - 1) + 1)
@@ -101,13 +112,9 @@ def p1_pda(q: int, m: int) -> Pda:
     for b in product(range(q), repeat=m):
         if sum(b) % q != 0:
             continue
-        row = []
-        for i, j in columns:
-            if b[i - 1] == j:
-                row.append(STAR)
-            else:
-                row.append(b[:i - 1] + (j,) + b[i:])
-        grid.append(row)
+        name = _name(b, q)
+        grid.append([STAR if b[i - 1] == j else name + (j - b[i - 1]) * weight
+                     for i, j, weight in columns])
     pda = _finish(grid)
     expected = (m * q, q ** (m - 1), m * q ** (m - 1), (q - 1) * q ** (m - 1))
     if pda.params != expected:
@@ -126,25 +133,22 @@ def p2_pda(q: int, m: int) -> Pda:
     i replaced by the unique value that makes the coordinate sum 0 mod q.
     """
     if q < 2:
-        raise ValueError("q must be >= 2")
+        raise ParameterError("q must be >= 2")
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ParameterError("m must be >= 1")
     _check_cells(f"p2({q},{m})", lambda: (q - 1) * q ** (m - 1), m * q,
                  (m - 1) * (q.bit_length() - 1) + 1)
 
     columns = _grid_columns(q, m)
     grid = []
     for b in product(range(q), repeat=m):
-        if sum(b) % q == 0:
+        total = sum(b) % q
+        if total == 0:
             continue
-        row = []
-        for i, j in columns:
-            if b[i - 1] != j:
-                row.append(STAR)
-            else:
-                fix = (b[i - 1] - sum(b)) % q
-                row.append(b[:i - 1] + (fix,) + b[i:])
-        grid.append(row)
+        name = _name(b, q)
+        # at j = b_i the fix is (j - total) mod q
+        grid.append([STAR if b[i - 1] != j else name + ((j - total) % q - j) * weight
+                     for i, j, weight in columns])
     pda = _finish(grid)
     expected = (m * q, (q - 1) * q ** (m - 1), m * (q - 1) ** 2 * q ** (m - 1), q ** (m - 1))
     if pda.params != expected:
@@ -155,7 +159,25 @@ def p2_pda(q: int, m: int) -> Pda:
 def full_star_pda(k_nodes: int, f_rows: int) -> Pda:
     """All-star F x K array: every node stores everything, nothing is shuffled."""
     if k_nodes < 1 or f_rows < 1:
-        raise ValueError("k_nodes and f_rows must be >= 1")
+        raise ParameterError("k_nodes and f_rows must be >= 1")
     _check_cells(f"fullstar({k_nodes},{f_rows})", lambda: f_rows, k_nodes,
                  f_rows.bit_length())
     return Pda(tuple(tuple(STAR for _ in range(k_nodes)) for _ in range(f_rows)))
+
+
+def stack_pda(*pdas: Pda) -> Pda:
+    """Vertical union of PDAs on the same K nodes (memory sharing): the rows
+    of each part in turn, each part's symbols kept apart from the others'.
+    The result is canonical and validated like a parsed array: a part that
+    is not a valid PDA raises PdaValidationError."""
+    if not pdas:
+        raise ParameterError("stack_pda needs at least one PDA")
+    widths = sorted({pda.k for pda in pdas})
+    if len(widths) > 1:
+        raise ParameterError(f"stacked PDAs need equal K, got K in {widths}")
+    rows, offset = [], 0
+    for pda in pdas:
+        rows += [[entry + offset if entry != STAR else STAR for entry in row]
+                 for row in pda.grid]
+        offset += max(pda.occurrences, default=0)
+    return _intake(rows)

@@ -26,10 +26,10 @@ from typing import NamedTuple
 
 from .bits import Bits, block_stream, le64
 from .loads import LoadPair, achieved_load
-from .pda import Pda, column_subarray
+from .pda import ParameterError, Pda, column_subarray
 
 
-class DivisibilityError(ValueError):
+class DivisibilityError(ParameterError):
     """A job parameter fails a divisibility requirement of the scheme."""
 
     def __init__(self, message: str, divisor: int | None = None, value: int | None = None):
@@ -65,7 +65,7 @@ class JobSpec:
     def __post_init__(self):
         for name in ("n_files", "d_functions", "w_bits", "v_bits", "u_bits"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ParameterError(f"{name} must be >= 1")
 
 
 class Geometry(NamedTuple):
@@ -437,7 +437,7 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
         mode = "exhaustive"
     else:
         if samples < 1:
-            raise ValueError("samples must be >= 1")
+            raise ParameterError("samples must be >= 1")
         rng = random.Random(seed)
         chosen = (tuple(sorted(rng.sample(nodes, q_active))) for _ in range(samples))
         mode = "sample"

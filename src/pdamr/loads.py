@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import p1_pda, p2_pda
-from .pda import Pda, pda_stats
+from .pda import ParameterError, Pda, pda_stats
 
 BETA_BOUND = math.sqrt(2 * math.pi) * math.e ** 2  # upper range for beta, ~18.48
 
@@ -29,7 +29,7 @@ def comb(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-class InsufficientTauError(ValueError):
+class InsufficientTauError(ParameterError):
     """The PDA stores too few copies per row for the requested active-set size."""
 
     def __init__(self, tau: int, needed: int):
@@ -38,7 +38,7 @@ class InsufficientTauError(ValueError):
         super().__init__(f"minimum storage number {tau} < required {needed}")
 
 
-class NoMatchingFamilyError(ValueError):
+class NoMatchingFamilyError(ParameterError):
     """Neither low-file-complexity construction covers the requested (K, r)."""
 
 
@@ -63,9 +63,9 @@ class TradeoffCurve:
 
 def _check_kq(k_nodes: int, q_active: int) -> None:
     if k_nodes < 1:
-        raise ValueError("k_nodes must be >= 1")
+        raise ParameterError("k_nodes must be >= 1")
     if not 1 <= q_active <= k_nodes:
-        raise ValueError(f"q_active must be in 1..{k_nodes}, got {q_active}")
+        raise ParameterError(f"q_active must be in 1..{k_nodes}, got {q_active}")
 
 
 def u_value(k_nodes: int, q_active: int, u: int) -> Fraction:
@@ -75,7 +75,7 @@ def u_value(k_nodes: int, q_active: int, u: int) -> Fraction:
     {1,2} and strictly decreasing beyond when Q >= 3."""
     _check_kq(k_nodes, q_active)
     if not 1 <= u <= k_nodes:
-        raise ValueError(f"u must be in 1..{k_nodes}, got {u}")
+        raise ParameterError(f"u must be in 1..{k_nodes}, got {u}")
     total = Fraction(comb(k_nodes - u, q_active - 1))
     lo = max(1, u - k_nodes + q_active - 1)
     hi = min(u, q_active) - 1
@@ -90,7 +90,7 @@ def z_value(k_nodes: int, q_active: int, u: int) -> Fraction:
     Dividing by C(K,Q) recovers the fundamental tradeoff at r = u."""
     _check_kq(k_nodes, q_active)
     if not k_nodes - q_active + 1 <= u <= k_nodes:
-        raise ValueError(
+        raise ParameterError(
             f"u must be in {k_nodes - q_active + 1}..{k_nodes}, got {u}")
     total = Fraction(0)
     for l in range(u + q_active - k_nodes, min(u, q_active) + 1):
@@ -112,7 +112,7 @@ def optimal_load(k_nodes: int, q_active: int, r) -> Fraction:
     r = Fraction(r)
     lo_bound, hi_bound = k_nodes - q_active + 1, k_nodes
     if not lo_bound <= r <= hi_bound:
-        raise ValueError(f"r must be in [{lo_bound}, {hi_bound}], got {r}")
+        raise ParameterError(f"r must be in [{lo_bound}, {hi_bound}], got {r}")
 
     if r.denominator != 1:
         below, above = r.numerator // r.denominator, r.numerator // r.denominator + 1
@@ -146,7 +146,7 @@ def achieved_load(pda: Pda, q_active: int) -> LoadPair:
     _check_kq(pda.k, q_active)
     stats = pda_stats(pda)
     if not stats.is_comp:
-        raise ValueError("not a Comp-PDA: some row has no star")
+        raise ParameterError("not a Comp-PDA: some row has no star")
     needed = pda.k - q_active + 1
     if stats.tau < needed:
         raise InsufficientTauError(stats.tau, needed)
@@ -162,7 +162,7 @@ def optimal_file_complexity(k_nodes: int, r: int) -> int:
     """Minimum number of file batches any scheme needs to sit exactly on the
     tradeoff at integer storage r (met with equality by the subset family)."""
     if not 1 <= r <= k_nodes:
-        raise ValueError(f"r must be in 1..{k_nodes}, got {r}")
+        raise ParameterError(f"r must be in 1..{k_nodes}, got {r}")
     return comb(k_nodes, r)
 
 
@@ -216,7 +216,7 @@ def prop1_check(k_nodes: int, r: int, q_active: int) -> Prop1Report:
     size Q. Requires K-Q+1 <= r <= K-1 and r/K in {1/q, (q-1)/q}."""
     _check_kq(k_nodes, q_active)
     if not k_nodes - q_active + 1 <= r <= k_nodes - 1:
-        raise ValueError(
+        raise ParameterError(
             f"r must be in {k_nodes - q_active + 1}..{k_nodes - 1}, got {r}")
     family, q, m = _family_for(k_nodes, r)
     pda = _family_instance(family, q, m)

@@ -9,6 +9,12 @@ Grid entries are plain ints: ``STAR`` (0) for a star, a positive label for an
 ordinary symbol. Canonical arrays label their symbols 1..S in row-major order
 of first occurrence; column subarrays keep the parent's labels, so their label
 sets may have gaps.
+
+Parsed and constructed arrays come in through one intake (``_intake``): a
+single row-major scan relabels the symbols, records their occurrences and
+one star bitmask per row, and the PDA rules are then checked per symbol
+against those masks. The resulting ``Pda`` carries what the scan found, so
+nothing scans its grid again.
 """
 
 from __future__ import annotations
@@ -16,8 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 STAR = 0
+
+
+class ParameterError(ValueError):
+    """A caller's parameter is out of range or inconsistent with the others
+    (the CLI's exit code 3)."""
 
 
 class PdaFormatError(ValueError):
@@ -72,7 +84,7 @@ class PdaValidationError(ValueError):
         super().__init__(report.summary())
 
 
-class EmptyStarRowError(ValueError):
+class EmptyStarRowError(ParameterError):
     """A column restriction left some row without a star (outage)."""
 
     def __init__(self, row: int):
@@ -83,8 +95,9 @@ class EmptyStarRowError(ValueError):
 @dataclass(frozen=True)
 class Pda:
     """Validated PDA grid. Construct through ``parse_pda``, the family
-    constructors, or ``column_subarray``; building one directly skips
-    validation."""
+    constructors, ``stack_pda`` or ``column_subarray``; building one directly
+    skips validation. The facts below are computed once per array; the
+    intake hands ``occurrences`` and ``row_star_masks`` over from its scan."""
 
     grid: tuple[tuple[int, ...], ...]
 
@@ -123,6 +136,20 @@ class Pda:
         """Per row, a bitmask with bit j set when 0-based column j is a star."""
         return tuple(sum(1 << j for j, e in enumerate(row) if e == STAR) for row in self.grid)
 
+    @cached_property
+    def tau(self) -> int:
+        """Minimum number of stars over the rows."""
+        return min(mask.bit_count() for mask in self.row_star_masks)
+
+    @cached_property
+    def s_t(self) -> dict[int, int]:
+        """Multiplicity t -> number of symbols occurring exactly t times, t
+        ascending. Read-only; ``pda_stats`` hands out copies."""
+        s_t: dict[int, int] = {}
+        for places in self.occurrences.values():
+            s_t[len(places)] = s_t.get(len(places), 0) + 1
+        return dict(sorted(s_t.items()))
+
     @property
     def params(self) -> tuple[int, int, int, int]:
         """(K, F, T, S)."""
@@ -157,6 +184,43 @@ class PdaStats:
     is_comp: bool
 
 
+def _rule_violations(sym, places, masks) -> list[Violation]:
+    """Rules (a) and (b) for the occurrences ``places`` ((row, col), 0-based,
+    row-major) of one symbol, given each row's star bitmask.
+
+    One pass decides that both hold: the columns are distinct (their mask
+    has one bit per occurrence) and each row holds stars in all the other
+    columns (two occurrences in one row fail this too, since neither cell is
+    a star). Only a symbol that fails has its pairs walked, so the
+    violations, in content and order, are those of the pairwise definition.
+    """
+    cols, common = 0, -1  # common: columns starred or occupied in every row
+    for i, j in places:
+        bit = 1 << j
+        cols |= bit
+        common &= masks[i] | bit
+    if cols.bit_count() == len(places) and cols & common == cols:
+        return []
+    violations = []
+    for a in range(len(places)):
+        i1, j1 = places[a]
+        for b in range(a + 1, len(places)):
+            i2, j2 = places[b]
+            if i1 == i2 or j1 == j2:
+                violations.append(Violation(
+                    "a", (i1 + 1, i2 + 1), (j1 + 1, j2 + 1),
+                    f"symbol {sym} repeats in the same "
+                    f"{'row' if i1 == i2 else 'column'} at "
+                    f"({i1 + 1},{j1 + 1}) and ({i2 + 1},{j2 + 1})"))
+                continue
+            if not masks[i1] >> j2 & 1 or not masks[i2] >> j1 & 1:
+                violations.append(Violation(
+                    "b", (i1 + 1, i2 + 1), (j1 + 1, j2 + 1),
+                    f"symbol {sym} at ({i1 + 1},{j1 + 1}) and ({i2 + 1},{j2 + 1}) "
+                    f"needs stars at ({i1 + 1},{j2 + 1}) and ({i2 + 1},{j1 + 1})"))
+    return violations
+
+
 def validate_pda(grid, require_canonical: bool = True) -> ValidationReport:
     """Check a raw grid against the PDA rules and report every violation.
 
@@ -174,9 +238,12 @@ def validate_pda(grid, require_canonical: bool = True) -> ValidationReport:
 
     violations: list[Violation] = []
     occ: dict[int, list[tuple[int, int]]] = {}
+    masks = []
     for i, row in enumerate(rows):
+        mask = 0
         for j, entry in enumerate(row):
             if entry == STAR:
+                mask |= 1 << j
                 continue
             if not isinstance(entry, int) or entry < 0:
                 violations.append(Violation(
@@ -184,25 +251,10 @@ def validate_pda(grid, require_canonical: bool = True) -> ValidationReport:
                     f"entry at ({i + 1},{j + 1}) is not a star or a positive integer"))
                 continue
             occ.setdefault(entry, []).append((i, j))
+        masks.append(mask)
 
     for sym in sorted(occ):
-        places = occ[sym]
-        for a in range(len(places)):
-            i1, j1 = places[a]
-            for b in range(a + 1, len(places)):
-                i2, j2 = places[b]
-                if i1 == i2 or j1 == j2:
-                    violations.append(Violation(
-                        "a", (i1 + 1, i2 + 1), (j1 + 1, j2 + 1),
-                        f"symbol {sym} repeats in the same "
-                        f"{'row' if i1 == i2 else 'column'} at "
-                        f"({i1 + 1},{j1 + 1}) and ({i2 + 1},{j2 + 1})"))
-                    continue
-                if rows[i1][j2] != STAR or rows[i2][j1] != STAR:
-                    violations.append(Violation(
-                        "b", (i1 + 1, i2 + 1), (j1 + 1, j2 + 1),
-                        f"symbol {sym} at ({i1 + 1},{j1 + 1}) and ({i2 + 1},{j2 + 1}) "
-                        f"needs stars at ({i1 + 1},{j2 + 1}) and ({i2 + 1},{j1 + 1})"))
+        violations += _rule_violations(sym, occ[sym], masks)
 
     if require_canonical and occ:
         labels = sorted(occ)
@@ -227,24 +279,49 @@ def validate_pda(grid, require_canonical: bool = True) -> ValidationReport:
     return ValidationReport(tuple(violations), params)
 
 
-def canonical_relabel(raw_grid) -> tuple[tuple[int, ...], ...]:
-    """Renumber ordinary symbols 1..S by first occurrence in row-major order.
+def _intake(rows) -> Pda:
+    """The validated canonical ``Pda`` of a nonempty rectangular grid whose
+    entries are STAR (the int 0) or any other hashable symbol name.
 
-    Entries equal to STAR stay; any other (hashable) entry is a symbol.
+    One row-major scan renumbers the symbols 1..S by first occurrence and
+    records each symbol's occurrences and each row's star mask; each symbol
+    is then checked by ``_rule_violations``. Rule cost is O(cells + sum of
+    multiplicities) unless a rule breaks. Raises PdaValidationError listing
+    every violation, in label order.
     """
-    mapping: dict = {}
-    out = []
-    for row in raw_grid:
-        new_row = []
-        for entry in row:
-            if entry == STAR:
-                new_row.append(STAR)
+    label_of: dict = {}
+    places: list = [None]  # label -> its occurrences, row-major
+    grid, masks = [], []
+    for i, row in enumerate(rows):
+        mask = 0
+        labels = list(row)  # star cells stay as they are
+        for j, name in enumerate(row):
+            if name == STAR:
+                mask |= 1 << j
+                continue
+            label = label_of.get(name)
+            if label is None:
+                label = label_of[name] = len(places)
+                places.append([(i, j)])
             else:
-                if entry not in mapping:
-                    mapping[entry] = len(mapping) + 1
-                new_row.append(mapping[entry])
-        out.append(tuple(new_row))
-    return tuple(out)
+                places[label].append((i, j))
+            labels[j] = label
+        grid.append(tuple(labels))
+        masks.append(mask)
+
+    occurrences: dict[int, tuple[tuple[int, int], ...]] = {}
+    violations: list[Violation] = []
+    for label in range(1, len(places)):
+        occurrences[label] = found = tuple(places[label])
+        places[label] = None  # never hold both copies of every occurrence list
+        if len(found) > 1:
+            violations += _rule_violations(label, found, masks)
+    if violations:
+        raise PdaValidationError(ValidationReport(tuple(violations), None))
+    pda = Pda(tuple(grid))
+    # seed the cached properties with what the scan found (Pda is frozen)
+    pda.__dict__.update(occurrences=occurrences, row_star_masks=tuple(masks))
+    return pda
 
 
 def _symbol(token: str) -> int | None:
@@ -254,6 +331,14 @@ def _symbol(token: str) -> int | None:
     except ValueError:  # more digits than int() converts
         return None
     return value if value > 0 else None
+
+
+def _token_column(line: str, tokens: list[str], index: int) -> int:
+    """1-based column of ``tokens[index]`` in ``line``, where tokens = line.split()."""
+    pos = 0
+    for token in tokens[:index]:
+        pos = line.index(token, pos) + len(token)
+    return line.index(tokens[index], pos) + 1
 
 
 def parse_pda(text) -> Pda:
@@ -298,27 +383,23 @@ def parse_pda(text) -> Pda:
         raise PdaFormatError(f"expected {f} grid rows, found {len(body)}",
                              line=body[-1][0] if body else header_no)
 
+    entry_of = {"*": STAR}  # token -> its entry, for every token seen so far
     grid = []
     for lineno, line in body:
         tokens = line.split()
         if len(tokens) != k:
             raise PdaFormatError(f"expected {k} entries, found {len(tokens)}", line=lineno)
-        row = []
-        pos = 0
-        for token in tokens:
-            pos = line.index(token, pos)
-            entry = STAR if token == "*" else _symbol(token)
-            if entry is None:
-                raise PdaFormatError(f"bad entry {token!r}", line=lineno, column=pos + 1)
-            row.append(entry)
-            pos += len(token)
-        grid.append(tuple(row))
-
-    canonical = canonical_relabel(grid)
-    report = validate_pda(canonical)
-    if not report.ok:
-        raise PdaValidationError(report)
-    return Pda(canonical)
+        row = list(map(entry_of.get, tokens))
+        if None in row:
+            for index, token in enumerate(tokens):
+                if row[index] is None:
+                    entry = _symbol(token)
+                    if entry is None:
+                        raise PdaFormatError(f"bad entry {token!r}", line=lineno,
+                                             column=_token_column(line, tokens, index))
+                    row[index] = entry_of[token] = entry
+        grid.append(row)
+    return _intake(grid)
 
 
 def render_pda(pda: Pda) -> str:
@@ -331,20 +412,16 @@ def render_pda(pda: Pda) -> str:
 
 def pda_stats(pda: Pda) -> PdaStats:
     """Exact derived quantities of a validated PDA."""
-    tau = min(pda.stars_in_row(i) for i in range(pda.f))
-    s_t: dict[int, int] = {}
-    for places in pda.occurrences.values():
-        s_t[len(places)] = s_t.get(len(places), 0) + 1
+    s_t = dict(pda.s_t)
     ordinary = pda.k * pda.f - pda.t
-    theta = {t: Fraction(count * t, ordinary) for t, count in sorted(s_t.items())}
-    regular_g = next(iter(s_t)) if len(s_t) == 1 else None
+    theta = {t: Fraction(count * t, ordinary) for t, count in s_t.items()}
     return PdaStats(
-        tau=tau,
-        s_t=dict(sorted(s_t.items())),
+        tau=pda.tau,
+        s_t=s_t,
         theta=theta,
-        regular_g=regular_g,
+        regular_g=next(iter(s_t)) if len(s_t) == 1 else None,
         storage_load=Fraction(pda.t, pda.f),
-        is_comp=tau >= 1,
+        is_comp=pda.tau >= 1,
     )
 
 
@@ -356,17 +433,18 @@ def column_subarray(pda: Pda, nodes) -> Pda:
     """
     nodes = list(nodes)
     if not nodes:
-        raise ValueError("nodes must be nonempty")
+        raise ParameterError("nodes must be nonempty")
     if len(set(nodes)) != len(nodes):
-        raise ValueError("nodes must be distinct")
+        raise ParameterError("nodes must be distinct")
     for node in nodes:
         if not 1 <= node <= pda.k:
-            raise ValueError(f"node {node} outside 1..{pda.k}")
+            raise ParameterError(f"node {node} outside 1..{pda.k}")
 
-    grid = []
-    for i, row in enumerate(pda.grid):
-        new_row = tuple(row[node - 1] for node in nodes)
-        if STAR not in new_row:
+    kept = sum(1 << (node - 1) for node in nodes)
+    for i, mask in enumerate(pda.row_star_masks):
+        if not mask & kept:
             raise EmptyStarRowError(i + 1)
-        grid.append(new_row)
-    return Pda(tuple(grid))
+    if len(nodes) == 1:  # itemgetter of one index returns the entry, not a tuple
+        j = nodes[0] - 1
+        return Pda(tuple((row[j],) for row in pda.grid))
+    return Pda(tuple(map(itemgetter(*(node - 1 for node in nodes)), pda.grid)))

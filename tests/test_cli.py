@@ -1,7 +1,9 @@
 """Exit codes, report shapes, and determinism of the command-line front end."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,11 +12,30 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdamr
-from pdamr import cli, engine, man_pda, p1_pda, render_pda
+from pdamr import (
+    ArrayTooLargeError,
+    DivisibilityError,
+    EmptyStarRowError,
+    InsufficientTauError,
+    JobSpec,
+    NoMatchingFamilyError,
+    ParameterError,
+    PdaFormatError,
+    PdaValidationError,
+    cli,
+    engine,
+    full_star_pda,
+    man_pda,
+    measure_loads,
+    p1_pda,
+    render_pda,
+    tradeoff_curve,
+)
 from pdamr.engine import LoadReport
-from pdamr.loads import LoadPair
+from pdamr.loads import LoadPair, _check_kq
 
 
 def run(capsys, *argv):
@@ -398,3 +419,107 @@ def test_missing_file(capsys):
     code, _, stderr = run(capsys, "stats", "--pda", "/nonexistent.pda")
     assert code == 3
     assert "error" in stderr
+
+
+def test_parameter_errors_share_one_base():
+    for error in (DivisibilityError, InsufficientTauError, NoMatchingFamilyError,
+                  ArrayTooLargeError, EmptyStarRowError):
+        assert issubclass(error, ParameterError)
+    for error in (PdaFormatError, PdaValidationError, engine.EngineDefectError):
+        assert not issubclass(error, ParameterError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _check_kq(0, 1),
+    lambda: _check_kq(4, 5),
+    lambda: tradeoff_curve(4, 0),
+    lambda: JobSpec(0, 1, 1, 1, 1),
+    lambda: measure_loads(man_pda(4, 2), JobSpec(6, 3, 8, 8, 8), 3, samples=0),
+], ids=["k", "q", "tradeoff", "jobspec", "samples"])
+def test_argument_checks_raise_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_internal_value_error_is_a_defect(capsys, monkeypatch):
+    # only ParameterError (and OSError) mean a bad request; a ValueError from
+    # inside the library is a bug and exits 4
+    def broken(*args):
+        raise ValueError("an internal check failed")
+
+    monkeypatch.setattr(cli, "tradeoff_curve", broken)
+    code, stdout, stderr = run(capsys, "tradeoff", "--k", "4", "--q", "3")
+    assert code == 4 and stdout == ""
+    first, *trace = stderr.splitlines()
+    assert first == "error: internal defect: ValueError: an internal check failed"
+    assert trace[0] == "Traceback (most recent call last):" and "in broken" in stderr
+
+
+def test_subarray_rejects_non_integer_nodes(capsys, ex1_path):
+    code, stdout, stderr = run(capsys, "subarray", "--pda", ex1_path, "--nodes", "1,a")
+    assert code == 3 and stdout == ""
+    assert stderr == "error: --nodes must be comma-separated integers, got '1,a'\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {"man": render_pda(man_pda(4, 2)), "star": render_pda(full_star_pda(3, 2)),
+             "p1": render_pda(p1_pda(2, 2)), "invalid": "1 2\n1 1\n", "junk": "1 2\n* x\n"}
+    paths = []
+    for name, text in texts.items():
+        (root / f"{name}.pda").write_text(text)
+        paths.append(str(root / f"{name}.pda"))
+    return paths + [str(root / "missing.pda")]
+
+
+@st.composite
+def cli_argvs(draw, paths):
+    """argv of one subcommand with small ints, 0 and negatives included. Up
+    to 5, so no family array is near the cell limit (p1(7,6) has 705,894
+    cells and takes about a second to build)."""
+    def num(*likely):  # ``likely``: values that make a valid job more common
+        return str(draw(st.one_of(st.integers(-2, 5), st.sampled_from(likely or (0,)))))
+
+    def maybe(*options):
+        return [part for name in options if draw(st.booleans()) for part in (name, num())]
+
+    pda = draw(st.sampled_from(paths))
+    command = draw(st.sampled_from(
+        ["gen", "validate", "stats", "subarray", "analyze", "tradeoff", "simulate", "prop1"]))
+    if command == "gen":
+        family = draw(st.sampled_from(sorted(cli.GEN_FAMILIES)))
+        _, names, _ = cli.GEN_FAMILIES[family]
+        return ["gen", family] + [part for name in names for part in (f"--{name}", num())]
+    if command in ("validate", "stats"):
+        return [command, "--pda", pda]
+    if command == "subarray":
+        nodes = ",".join(num() for _ in range(draw(st.integers(1, 4))))
+        return ["subarray", "--pda", pda, "--nodes",
+                draw(st.sampled_from([nodes, nodes, "", "1,,2", "a"]))]
+    if command == "analyze":
+        return ["analyze", "--pda", pda, "--q", num()]
+    if command == "tradeoff":
+        which = draw(st.sampled_from([[], ["--q", num()], ["--all-q"]]))
+        return ["tradeoff", "--k", num(), *which, *draw(st.sampled_from([[], ["--format", "json"]]))]
+    if command == "simulate":
+        return ["simulate", "--pda", pda, "--q", num(3), "--files", num(6, 12),
+                "--functions", num(3, 6), "--iva-bits", num(12, 24),
+                *maybe("--file-bits", "--output-bits", "--samples")]
+    return ["prop1", "--k", num(4), "--r", num(2), "--q-active", num(3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(fuzz_paths, data):
+    argv = data.draw(cli_argvs(fuzz_paths))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert time.perf_counter() - start < 1.0, argv
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -1,5 +1,6 @@
 """PDA family constructors: exact grids, parameter tuples, validity."""
 
+import hashlib
 import math
 
 import pytest
@@ -7,11 +8,17 @@ import pytest
 from pdamr import (
     STAR,
     ArrayTooLargeError,
+    ParameterError,
+    Pda,
+    PdaValidationError,
     full_star_pda,
     man_pda,
     p1_pda,
     p2_pda,
+    parse_pda,
     pda_stats,
+    render_pda,
+    stack_pda,
     validate_pda,
 )
 from pdamr import constructions
@@ -212,3 +219,74 @@ def test_other_families_share_the_inclusive_cell_limit(monkeypatch, build, args,
 def test_cell_limit_admits_largest_prop1_array():
     # p2(3,8), the largest family array of the benchmark's prop1 sweep
     assert (3 - 1) * 3 ** 7 * 24 == 104_976 <= constructions.MAX_CELLS
+
+
+# sha256 of render_pda of each array, computed with the constructors that named
+# symbols by tuples and looked up each man entry by a sorted set union
+PINNED_RENDERINGS = {
+    (man_pda, (16, 8)): "3a21cfdbfe0b880c737e27d9692f9892aac2497b7ebaa62e648c84f925c05efe",
+    (man_pda, (9, 4)): "c64cca3d7563a52d89b2d03be96fa4b8b4b6564aeb03c4f00dcc1b9f2712acfe",
+    (p1_pda, (2, 12)): "4ffa5cd4f56aa527f62e716c8864a2fa023d7f4a1192308cb20a5e168e036edf",
+    (p1_pda, (3, 8)): "b5492b94211fb588874172543ce9794b4e36f188e00032dba517c5a30347403f",
+    # P2's symbol names include the all-zero vector, whose base-q code is 0
+    (p2_pda, (3, 8)): "a8be37139afd319032befd74e675864d1236919594909030b1df22e564d69599",
+    (p2_pda, (4, 6)): "4baf99f7e681e10b98e1e0be5d57b8cf50faaef1e86553f0007f47fbb0ac2b17",
+    (p2_pda, (6, 4)): "17939bc3ff1749195e8f3a71d2dac109676f53c0390122d2f2356061df63f585",
+}
+
+
+@pytest.mark.parametrize("build,args", list(PINNED_RENDERINGS),
+                         ids=lambda x: getattr(x, "__name__", None) or ",".join(map(str, x)))
+def test_rendering_pinned(build, args):
+    text = render_pda(build(*args))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == PINNED_RENDERINGS[(build, args)]
+
+
+def test_stack_matches_offset_labels_parsed():
+    parts = (man_pda(5, 2), man_pda(5, 3), man_pda(5, 4))
+    rows, offset = [], 0
+    for pda in parts:
+        rows += [" ".join("*" if e == STAR else str(e + offset) for e in row)
+                 for row in pda.grid]
+        offset += pda.s
+    parsed = parse_pda(f"{len(rows)} 5\n" + "\n".join(rows) + "\n")
+    stack = stack_pda(*parts)
+    assert stack == parsed
+    assert stack.params == (5, 10 + 10 + 5, 20 + 30 + 20, 10 + 5 + 1)
+    assert stack.s_t == {3: 10, 4: 5, 5: 1}
+    assert validate_pda(stack.grid).ok
+
+
+def test_stack_keeps_parts_apart():
+    # two copies of one array share no symbol, so every multiplicity is kept
+    pda = p2_pda(3, 2)
+    twice = stack_pda(pda, pda)
+    assert twice.f == 2 * pda.f and twice.s == 2 * pda.s
+    assert twice.s_t == {g: 2 * n for g, n in pda.s_t.items()}
+    assert stack_pda(pda) == pda
+
+
+def test_stack_of_subarray_with_label_gaps():
+    # column subarrays keep the parent's labels, gaps included
+    sub = Pda(((STAR, 4), (4, STAR), (STAR, 9)))
+    stack = stack_pda(sub, sub)
+    assert stack.grid == ((STAR, 1), (1, STAR), (STAR, 2),
+                          (STAR, 3), (3, STAR), (STAR, 4))
+
+
+def test_stack_argument_checks():
+    with pytest.raises(ParameterError, match="equal K"):
+        stack_pda(man_pda(4, 2), man_pda(5, 2))
+    with pytest.raises(ParameterError):
+        stack_pda()
+    with pytest.raises(PdaValidationError):
+        stack_pda(Pda(((1, 1),)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: man_pda(0, 1), lambda: man_pda(4, 5), lambda: p1_pda(1, 2),
+    lambda: p2_pda(2, 0), lambda: full_star_pda(0, 1), lambda: man_pda(30, 15),
+], ids=["man-k", "man-i", "p1-q", "p2-m", "fullstar", "too-large"])
+def test_constructor_errors_are_parameter_errors(call):
+    with pytest.raises(ParameterError):
+        call()

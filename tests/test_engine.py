@@ -31,11 +31,11 @@ from pdamr import (
     achieved_load,
     p1_pda,
     p2_pda,
-    parse_pda,
     pda_stats,
     plan_active_set,
     reference_oracle,
     run_transcript,
+    stack_pda,
     storage_profile,
 )
 
@@ -438,18 +438,8 @@ def test_reduce_memo_never_serves_another_payload():
         assert got == block_stream(le64(2), packed, TOY.u_bits)
 
 
-def stacked(*parts):
-    """Vertical stack of PDAs with equal K and disjoint symbol labels."""
-    rows, offset = [], 0
-    for pda in parts:
-        rows += [tuple(e + offset if e != STAR else STAR for e in row) for row in pda.grid]
-        offset += pda.s
-    body = "\n".join(" ".join(str(e) if e != STAR else "*" for e in row) for row in rows)
-    return parse_pda(f"{len(rows)} {len(rows[0])}\n{body}\n")
-
-
 def test_mixed_multiplicity_stack_end_to_end():
-    pda = stacked(man_pda(5, 2), man_pda(5, 3), man_pda(5, 4))
+    pda = stack_pda(man_pda(5, 2), man_pda(5, 3), man_pda(5, 4))
     stats = pda_stats(pda)
     assert stats.s_t == {3: 10, 4: 5, 5: 1}
     assert stats.tau == 2 and stats.regular_g is None
@@ -527,7 +517,7 @@ def transcript_digest(reports) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-MIXED = stacked(man_pda(5, 2), man_pda(5, 3), man_pda(5, 4))
+MIXED = stack_pda(man_pda(5, 2), man_pda(5, 3), man_pda(5, 4))
 
 
 def pinned_jobs(pda, qs, files_per_row=1):

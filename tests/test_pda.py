@@ -7,6 +7,7 @@ import pytest
 from pdamr import (
     STAR,
     EmptyStarRowError,
+    ParameterError,
     Pda,
     PdaFormatError,
     PdaValidationError,
@@ -107,6 +108,13 @@ def test_syntax_error_reports_position():
         parse_pda("1 3\n* 2 x\n")
     assert err.value.line == 2
     assert err.value.column == 5
+
+
+def test_syntax_error_position_after_an_earlier_match():
+    # the bad token "0" also occurs inside the earlier token "10"
+    with pytest.raises(PdaFormatError) as err:
+        parse_pda("1 3\n\t10  * 0\n")
+    assert (err.value.line, err.value.column) == (2, 8)
 
 
 def test_validate_example_grid_ok():
@@ -230,6 +238,40 @@ def test_subarray_argument_checks():
         column_subarray(pda, [0])
     with pytest.raises(ValueError):
         column_subarray(pda, [5])
+
+
+def test_subarray_single_column():
+    # a single column keeps every row only when it is all stars
+    sub = column_subarray(Pda(((STAR, 1, STAR), (STAR, STAR, 1))), [1])
+    assert sub.grid == ((STAR,), (STAR,))
+    with pytest.raises(EmptyStarRowError) as err:
+        column_subarray(parse_pda(EXAMPLE_TEXT), [4])
+    assert err.value.row == 1
+
+
+def test_subarray_argument_errors_are_parameter_errors():
+    pda = parse_pda(EXAMPLE_TEXT)
+    for nodes in ([], [1, 1], [0], [5]):
+        with pytest.raises(ParameterError):
+            column_subarray(pda, nodes)
+    with pytest.raises(ParameterError):
+        column_subarray(p1_pda(2, 2), [2, 4])  # an outage
+
+
+def test_stats_hands_out_fresh_dicts():
+    pda = man_pda(5, 2)
+    first = pda_stats(pda)
+    first.s_t[3] = 0
+    first.theta.clear()
+    assert pda_stats(pda) == pda_stats(man_pda(5, 2))
+    assert pda.s_t == {3: 10} and pda.tau == 2
+
+
+def test_cached_facts_of_unvalidated_grid():
+    pda = Pda(((STAR, 5, STAR), (5, STAR, 7), (STAR, STAR, STAR)))
+    assert pda.row_star_masks == (0b101, 0b010, 0b111)
+    assert (pda.tau, pda.t, pda.s_t) == (1, 6, {1: 1, 2: 1})
+    assert pda.occurrences == {5: ((0, 1), (1, 0)), 7: ((1, 2),)}
 
 
 def test_pda_helpers():
