@@ -32,6 +32,7 @@ from .engine import (
 from .loads import (
     _check_kq,
     achieved_load,
+    check_tradeoff_budget,
     optimal_file_complexity,
     optimal_load,
     prop1_check,
@@ -181,7 +182,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_tradeoff(args) -> int:
     if args.all_q:
-        _check_kq(args.k, 1)  # an empty range below would skip every check
+        check_tradeoff_budget(args.k)  # also refuses K < 1, which would skip every curve
         q_values = list(range(1, args.k + 1))
     elif args.q is not None:
         q_values = [args.q]

@@ -198,22 +198,22 @@ def storage_profile(placement: Placement) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class ActiveSetPlan:
-    """Deterministic shuffle plan for one active set.
+    """Deterministic shuffle plan for one active set, one entry per symbol.
 
-    ``occurrences`` maps each surviving symbol to its positions (0-based row,
-    1-based node label) inside the active columns. Symbols occurring once go
-    to ``singleton_assignment`` (symbol -> responsible sender, the smallest
-    active node with a star in that row); every occurrence (row, node) of a
-    symbol occurring g >= 2 times has a ``split_plan`` entry listing the
-    other occurrence columns in ascending order, which label the g-1 equal
-    parts of its block.
+    ``occurrences`` maps each surviving symbol, ascending, to its positions
+    (0-based row, 1-based node label) inside the active columns. Symbols
+    occurring once go to ``singleton_assignment`` (symbol -> responsible
+    sender, the smallest active node with a star in that row). A symbol
+    occurring g >= 2 times has ``split_labels`` (symbol -> its g occurrence
+    columns, ascending): the block at (i, k) splits into g-1 equal parts,
+    most significant first, labelled by those columns without k, in order.
     """
 
     active: tuple[int, ...]
     subarray: Pda
     occurrences: dict[int, tuple[tuple[int, int], ...]]
     singleton_assignment: dict[int, int]
-    split_plan: dict[tuple[int, int], tuple[int, ...]]
+    split_labels: dict[int, tuple[int, ...]]
     reduce_assignment: dict[int, tuple[int, ...]]
 
 
@@ -238,19 +238,16 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
     active_mask = sum(1 << (k - 1) for k in active)
     occurrences: dict[int, tuple[tuple[int, int], ...]] = {}
     singleton_assignment: dict[int, int] = {}
-    split_plan: dict[tuple[int, int], tuple[int, ...]] = {}
+    split_labels: dict[int, tuple[int, ...]] = {}
     for sym in sorted(pda.occurrences):
-        places = tuple((i, j + 1) for i, j in pda.occurrences[sym] if active_mask >> j & 1)
+        places = tuple([(i, j + 1) for i, j in pda.occurrences[sym] if active_mask >> j & 1])
         if places:
             occurrences[sym] = places
         if len(places) == 1:
             senders = pda.row_star_masks[places[0][0]] & active_mask
             singleton_assignment[sym] = (senders & -senders).bit_length()
         elif places:
-            columns = tuple(sorted(k for _, k in places))
-            for i, k in places:
-                p = columns.index(k)
-                split_plan[(i, k)] = columns[:p] + columns[p + 1:]
+            split_labels[sym] = tuple(sorted([k for _, k in places]))
 
     functions = range(1, job.d_functions + 1)
     reduce_assignment = {
@@ -262,7 +259,7 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
         subarray=subarray,
         occurrences=occurrences,
         singleton_assignment=singleton_assignment,
-        split_plan=split_plan,
+        split_labels=split_labels,
         reduce_assignment=reduce_assignment,
     )
 
@@ -297,6 +294,11 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     occurrences. Reduce: nodes rebuild the blocks of their unstored batches
     from the signals plus locally computed parts, check every rebuilt value
     against the map output, then evaluate their assigned reduce functions.
+
+    The report is built in plan order, with no sort: ``signals`` by (sender,
+    symbol) and ``per_symbol_bits`` by symbol, both ascending. The bit
+    tables come from the payload widths: a symbol's g signals of
+    block_bits/(g-1) bits each, or one block for a singleton.
     """
     wl = workload if workload is not None else Workload(job)
     if wl.job != job:
@@ -314,56 +316,69 @@ def run_transcript(pda: Pda, job: JobSpec, active,
                 value = value << v | iva(d, n)
         return value
 
-    def require_stored(k: int, rows, rule: str) -> None:
+    def where(sym: int) -> str:
+        return f" (active set {plan.active}, symbol {sym})"
+
+    def require_stored(k: int, rows, rule: str, sym: int) -> None:
         missing = [i for i in rows if not masks[i] >> (k - 1) & 1]
         if missing:
-            raise EngineDefectError(
-                f"node {k} lacks batch {min(missing) + 1}, which the {rule} promises")
+            raise EngineDefectError(f"node {k} lacks batch {min(missing) + 1}, "
+                                    f"which the {rule} promises" + where(sym))
 
-    signals: dict[tuple[int, int], int] = {}   # (sender, symbol) -> payload
+    # sender -> [(symbol, payload)]; the plan lists symbols ascending, so
+    # every sender's list is in symbol order and the report needs no sort
+    sent: dict[int, list[tuple[int, int]]] = {k: [] for k in plan.active}
     width: dict[int, int] = {}                 # symbol -> payload width
+    per_node_bits = dict.fromkeys(plan.active, 0)
     decoded: dict[tuple[int, int], int] = {}   # (row, node) -> block rebuilt there
     for sym, places in plan.occurrences.items():
         if len(places) == 1:
             (i, j), = places
             sender = plan.singleton_assignment[sym]
-            require_stored(sender, [i], "choice of singleton sender")
+            require_stored(sender, [i], "choice of singleton sender", sym)
             width[sym] = block_bits
-            signals[(sender, sym)] = decoded[(i, j)] = block(i, j)
+            decoded[(i, j)] = value = block(i, j)
+            sent[sender].append((sym, value))
+            per_node_bits[sender] += block_bits
             continue
-        width[sym] = w = block_bits // (len(places) - 1)
+        labels = plan.split_labels[sym]
+        g = len(labels)
+        width[sym] = w = block_bits // (g - 1)
         low = (1 << w) - 1
-        # cross-star rule, checked per row; a failure walks the pairs for the message
-        column_mask = sum(1 << (j - 1) for _, j in places)
-        if any((masks[i] | 1 << (j - 1)) & column_mask != column_mask for i, j in places):
-            for i, j in places:
-                require_stored(j, [i2 for i2, j2 in places if j2 != j], "cross-star rule")
-        parts = {j: [] for _, j in places}  # label -> [(column, part)]
+        # Block (i, j) widened by an empty w-bit slot at j's place among the
+        # labels has its part for label L in L's slot, so the XOR of the
+        # widened blocks is the g signals end to end, in label order.
+        tails, widened = [], []
+        stored = -1  # bit j-1 set: node j stores every occurrence's row but its own
         for i, j in places:
+            stored &= masks[i] | 1 << (j - 1)
+            tail = w * (g - 1 - labels.index(j))
             value = block(i, j)
-            for label in reversed(plan.split_plan[(i, j)]):
-                parts[label].append((j, value & low))
-                value >>= w
-        for label, labelled in parts.items():  # each node XORs the parts labeled with it
-            signal = 0
-            for _, part in labelled:
-                signal ^= part
-            signals[(label, sym)] = signal
-        for i, k in places:  # the signal minus the parts of the other columns
-            value = 0
-            for label in plan.split_plan[(i, k)]:
-                own = signals[(label, sym)]
-                for j, part in parts[label]:
-                    if j != k:
-                        own ^= part
-                value = value << w | own
-            decoded[(i, k)] = value
-
-    per_node_bits = {k: 0 for k in plan.active}
-    per_symbol_bits: dict[int, int] = {}
-    for k, sym in signals:
-        per_node_bits[k] += width[sym]
-        per_symbol_bits[sym] = per_symbol_bits.get(sym, 0) + width[sym]
+            tails.append(tail)
+            widened.append((value >> tail << tail + w) | (value & (1 << tail) - 1))
+        # cross-star rule, checked per row; a failure walks the pairs for the message
+        column_mask = sum(1 << (j - 1) for j in labels)
+        if stored & column_mask != column_mask:
+            for i, j in places:
+                require_stored(j, [i2 for i2, j2 in places if j2 != j], "cross-star rule", sym)
+        joined = 0
+        for value in widened:
+            joined ^= value
+        for p, label in enumerate(labels):
+            sent[label].append((sym, joined >> w * (g - 1 - p) & low))
+            per_node_bits[label] += w
+        # node k XORs the signals with every other column's widened block
+        # (a prefix and a suffix XOR, never its own block), which leaves its
+        # block around an empty slot of its own
+        suffix = [0] * g  # suffix[t]: XOR of widened[t + 1:]
+        for t in range(g - 1, 0, -1):
+            suffix[t - 1] = suffix[t] ^ widened[t]
+        prefix = 0
+        for t, (i, k) in enumerate(places):
+            value = joined ^ prefix ^ suffix[t]
+            tail = tails[t]
+            decoded[(i, k)] = (value >> tail + w << tail) | (value & (1 << tail) - 1)
+            prefix ^= widened[t]
 
     # node -> function -> value of file n at n-1, mapped if stored, else decoded
     known = {k: {d: [iva(d, n) if masks[(n - 1) // eta] >> (k - 1) & 1 else None
@@ -381,8 +396,10 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     for k in plan.active:
         for d in plan.reduce_assignment[k]:
             if None in known[k][d]:
-                raise EngineDefectError(f"node {k} neither stores nor decodes file "
-                                        f"{known[k][d].index(None) + 1}, which function {d} needs")
+                n = known[k][d].index(None) + 1
+                raise EngineDefectError(
+                    f"node {k} neither stores nor decodes file {n}, which function {d} "
+                    f"needs" + where(pda.grid[(n - 1) // eta][k - 1]))
     outputs = {k: {d: wl.reduce_output(d, known[k][d]) for d in plan.reduce_assignment[k]}
                for k in plan.active}
 
@@ -392,9 +409,11 @@ def run_transcript(pda: Pda, job: JobSpec, active,
 
     return TranscriptReport(
         active=plan.active,
-        signals={key: Bits(value, width[key[1]]) for key, value in sorted(signals.items())},
+        signals={(k, sym): Bits(value, width[sym])
+                 for k, payloads in sent.items() for sym, value in payloads},
         per_node_bits=per_node_bits,
-        per_symbol_bits=dict(sorted(per_symbol_bits.items())),
+        per_symbol_bits={sym: width[sym] * len(places)
+                         for sym, places in plan.occurrences.items()},
         total_bits=sum(per_node_bits.values()),
         outputs=outputs,
         reference_match=match,

@@ -20,6 +20,8 @@ from .constructions import p1_pda, p2_pda
 from .pda import ParameterError, Pda, pda_stats
 
 BETA_BOUND = math.sqrt(2 * math.pi) * math.e ** 2  # upper range for beta, ~18.48
+# Fraction terms a tradeoff request may sum; every Q of K = 200 sums 671,650
+MAX_TRADEOFF_TERMS = 1_000_000
 
 
 def comb(n: int, k: int) -> int:
@@ -127,9 +129,38 @@ def optimal_load(k_nodes: int, q_active: int, r) -> Fraction:
     return (1 - Fraction(r, k_nodes)) * total / comb(k_nodes - 1, q_active - 1)
 
 
+def tradeoff_terms(k_nodes: int, q_active: int | None = None) -> int:
+    """How many Fraction terms ``optimal_load`` sums over the integer anchors
+    of the (K, Q) curve, or of every curve Q = 1..K when ``q_active`` is None.
+
+    With b = Q-1 and c = K-b, the anchor r = K-a (a in 0..b) sums min(a, c)
+    terms: b(b+1)/2 in all when b <= c, else c(c+1)/2 + (b-c)*c. Over every
+    Q, b runs to K//2 in the first case and c from K-K//2-1 down to 1 in the
+    second, which sums in closed form.
+    """
+    _check_kq(k_nodes, 1 if q_active is None else q_active)
+    if q_active is not None:
+        b, c = q_active - 1, k_nodes - q_active + 1
+        return b * (b + 1) // 2 if b <= c else c * (c + 1) // 2 + (b - c) * c
+    b, c = k_nodes // 2, k_nodes - k_nodes // 2 - 1
+    return (b * (b + 1) * (b + 2) // 6 + c * (c + 1) * (c + 2) // 6
+            + k_nodes * c * (c + 1) // 2 - c * (c + 1) * (2 * c + 1) // 3)
+
+
+def check_tradeoff_budget(k_nodes: int, q_active: int | None = None) -> None:
+    """Refuse a tradeoff request above MAX_TRADEOFF_TERMS before any term is
+    summed; ``q_active`` None stands for every Q in 1..K."""
+    terms = tradeoff_terms(k_nodes, q_active)
+    if terms > MAX_TRADEOFF_TERMS:
+        which = "every Q" if q_active is None else f"Q = {q_active}"
+        raise ParameterError(
+            f"the tradeoff of K = {k_nodes} for {which} sums {terms} exact terms, "
+            f"above the limit of {MAX_TRADEOFF_TERMS}")
+
+
 def tradeoff_curve(k_nodes: int, q_active: int) -> TradeoffCurve:
     """All integer anchor points of the fundamental tradeoff for (K, Q)."""
-    _check_kq(k_nodes, q_active)
+    check_tradeoff_budget(k_nodes, q_active)
     points = tuple((r, optimal_load(k_nodes, q_active, r))
                    for r in range(k_nodes - q_active + 1, k_nodes + 1))
     return TradeoffCurve(k_nodes, q_active, points)

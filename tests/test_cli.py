@@ -415,6 +415,30 @@ def test_tradeoff_all_q_rejects_k_below_one(capsys, k):
     assert stderr == "error: k_nodes must be >= 1\n"
 
 
+def test_tradeoff_budget_refuses_before_any_work(capsys):
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "tradeoff", "--k", "400", "--all-q")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and stdout == ""
+    assert stderr == ("error: the tradeoff of K = 400 for every Q sums 5353300 exact "
+                      "terms, above the limit of 1000000\n")
+
+
+# sha256 of the whole output of `tradeoff --k 40 --all-q`, recorded before
+# the work budget existed
+PINNED_ALL_Q = {
+    "csv": "6a31a1287c1b9388fd5be99139f57b883349fbfd9920f278d7c3794f098cdf55",
+    "json": "a81429563b6953d5975c460bb6ac9f8f287082417ac61b99659a2353c449ca45",
+}
+
+
+@pytest.mark.parametrize("fmt", list(PINNED_ALL_Q))
+def test_tradeoff_all_q_output_pinned(capsys, fmt):
+    code, stdout, _ = run(capsys, "tradeoff", "--k", "40", "--all-q", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode("ascii")).hexdigest() == PINNED_ALL_Q[fmt]
+
+
 def test_missing_file(capsys):
     code, _, stderr = run(capsys, "stats", "--pda", "/nonexistent.pda")
     assert code == 3

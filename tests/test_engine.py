@@ -7,6 +7,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from random_pdas import greedy_comp_pda
 
 from pdamr import engine
 from pdamr import (
@@ -94,10 +95,9 @@ def test_plan_example_active_set():
     # every symbol survives at least twice here, so none are singletons
     assert plan.singleton_assignment == {}
     assert {s: len(p) for s, p in plan.occurrences.items()} == {1: 2, 2: 3, 3: 2, 4: 2}
-    # the three-occurrence symbol splits against the two other columns
-    assert plan.split_plan[(0, 4)] == (1, 2)
-    assert plan.split_plan[(2, 2)] == (1, 4)
-    assert plan.split_plan[(4, 1)] == (2, 4)
+    # one label tuple per split symbol: its occurrence columns, ascending;
+    # the block at (0, 4) under symbol 2 splits into parts labelled 1 and 2
+    assert plan.split_labels == {1: (1, 2), 2: (1, 2, 4), 3: (1, 4), 4: (2, 4)}
 
 
 def test_plan_full_active_set_is_identity_subarray():
@@ -333,8 +333,9 @@ def test_broken_plan_is_an_engine_defect(monkeypatch):
     monkeypatch.setattr(engine, "plan_active_set",
                         lambda *args: misdirect_singleton(real(*args)))
     job = JobSpec(2, 3, 8, 24, 8, 0)
-    with pytest.raises(EngineDefectError, match="singleton sender"):
+    with pytest.raises(EngineDefectError, match="singleton sender") as err:
         run_transcript(p1_pda(2, 2), job, [1, 2, 3])
+    assert str(err.value).endswith("(active set (1, 2, 3), symbol 2)")
 
 
 def drop_symbol(plan):
@@ -348,16 +349,19 @@ def drop_symbol(plan):
 def test_dropped_occurrence_is_an_engine_defect(monkeypatch):
     real = engine.plan_active_set
     monkeypatch.setattr(engine, "plan_active_set", lambda *args: drop_symbol(real(*args)))
-    with pytest.raises(EngineDefectError, match="node 1 neither stores nor decodes file 4,"):
+    with pytest.raises(EngineDefectError, match="node 1 neither stores nor decodes file 4,") as err:
         run_transcript(man_pda(4, 2), JobSpec(6, 3, 64, 120, 64, 7), [1, 2, 4])
+    # the dropped symbol is the one at node 1's cell of file 4's batch
+    assert str(err.value).endswith("(active set (1, 2, 4), symbol 1)")
 
 
 def test_cross_star_break_is_an_engine_defect():
     # built directly, so unvalidated: symbol 1 at (1,2) and (2,1) needs a
     # star at (2,2), which holds symbol 2 instead
     pda = Pda(((STAR, 1, STAR), (1, 2, STAR)))
-    with pytest.raises(EngineDefectError, match="cross-star rule"):
+    with pytest.raises(EngineDefectError, match="cross-star rule") as err:
         run_transcript(pda, JobSpec(2, 3, 8, 8, 8, 0), [1, 2, 3])
+    assert str(err.value).endswith("(active set (1, 2, 3), symbol 1)")
 
 
 def test_relabelled_split_plan_still_decodes(monkeypatch):
@@ -367,14 +371,16 @@ def test_relabelled_split_plan_still_decodes(monkeypatch):
 
     def relabelled(*args):
         plan = real(*args)
-        place = next(p for p, labels in plan.split_plan.items() if len(labels) >= 2)
-        split_plan = {**plan.split_plan, place: plan.split_plan[place][::-1]}
-        return dataclasses.replace(plan, split_plan=split_plan)
+        sym = next(s for s, labels in plan.split_labels.items() if len(labels) >= 3)
+        split_labels = {**plan.split_labels, sym: plan.split_labels[sym][::-1]}
+        return dataclasses.replace(plan, split_labels=split_labels)
 
+    plain = run_transcript(EX1, TOY, [1, 2, 4])
     monkeypatch.setattr(engine, "plan_active_set", relabelled)
     report = run_transcript(EX1, TOY, [1, 2, 4])
     assert report.reference_match
     assert report.total_bits == 900
+    assert report.signals != plain.signals  # the parts did move between labels
 
 
 class DriftingWorkload(Workload):
@@ -555,8 +561,8 @@ def test_transcripts_pinned(name):
 def reference_plan(pda, active, job):
     """The plan of ``active`` by its definition, scanning the grid: symbols
     ascending, each with its active cells in row-major order; a singleton
-    is sent by the smallest active node with a star in its row; the other
-    occurrence columns, ascending, label the parts of each split block.
+    is sent by the smallest active node with a star in its row; a split
+    symbol's occurrence columns, ascending, are its labels.
     An outage gives the EmptyStarRowError that planning must raise."""
     active = tuple(sorted(active))
     q = len(active)
@@ -564,7 +570,7 @@ def reference_plan(pda, active, job):
         if all(row[k - 1] != STAR for k in active):
             return EmptyStarRowError(i + 1)
     symbols = sorted({entry for row in pda.grid for entry in row if entry != STAR})
-    occurrences, singleton_assignment, split_plan = {}, {}, {}
+    occurrences, singleton_assignment, split_labels = {}, {}, {}
     for sym in symbols:
         places = tuple((i, k) for i in range(pda.f) for k in active
                        if pda.grid[i][k - 1] == sym)
@@ -575,14 +581,13 @@ def reference_plan(pda, active, job):
             (i, _), = places
             singleton_assignment[sym] = next(k for k in active if pda.grid[i][k - 1] == STAR)
         else:
-            for i, k in places:
-                split_plan[(i, k)] = tuple(sorted(c for _, c in places if c != k))
+            split_labels[sym] = tuple(sorted(k for _, k in places))
     return engine.ActiveSetPlan(
         active=active,
         subarray=Pda(tuple(tuple(row[k - 1] for k in active) for row in pda.grid)),
         occurrences=occurrences,
         singleton_assignment=singleton_assignment,
-        split_plan=split_plan,
+        split_labels=split_labels,
         reduce_assignment={k: tuple(d for d in range(1, job.d_functions + 1)
                                     if (d - 1) % q == p) for p, k in enumerate(active)},
     )
@@ -617,3 +622,44 @@ def test_plan_matches_grid_scan(pda):
                 assert got == expected, field.name
                 if isinstance(expected, dict):
                     assert list(got) == list(expected), field.name
+
+
+def test_plan_holds_one_entry_per_symbol():
+    pda = man_pda(16, 8)
+    active = (1, 2, 4, 5, 7, 9, 10, 12, 13, 16)
+    plan = plan_active_set(pda, active, JobSpec(pda.f, 10, 8, 2520, 8))
+    tables = [(field.name, getattr(plan, field.name)) for field in dataclasses.fields(plan)]
+    for name, table in tables:
+        if isinstance(table, dict):
+            assert len(table) <= pda.s, name
+    assert plan.split_labels[1] == tuple(k for k in range(1, 10) if k in active)
+
+
+# greedy Comp-PDA on 8 star masks drawn by random.Random(5): singletons and
+# symbols of multiplicity 2 and 3, tau = 2
+RANDOM = greedy_comp_pda([20, 9, 24, 12, 26, 23, 31, 27], 5)
+
+
+@pytest.mark.parametrize("pda", [RENAMED, MIXED, RANDOM],
+                         ids=["renamed-labels", "mixed-stack", "random"])
+def test_report_is_in_key_order(pda):
+    # the report is built in plan order, never sorted: signals by (sender,
+    # symbol), symbols ascending, and both bit tables agree with the signals
+    job = JobSpec(pda.f, 60, 16, 60, 16, seed=1)
+    wl = Workload(job)
+    for q in range(1, pda.k + 1):
+        for active in itertools.combinations(range(1, pda.k + 1), q):
+            try:
+                report = run_transcript(pda, job, active, workload=wl)
+            except EmptyStarRowError:
+                continue
+            assert report.reference_match
+            assert list(report.signals) == sorted(report.signals)
+            assert list(report.per_symbol_bits) == sorted(report.per_symbol_bits)
+            per_node, per_symbol = dict.fromkeys(active, 0), {}
+            for (k, sym), signal in report.signals.items():
+                per_node[k] += signal.nbits
+                per_symbol[sym] = per_symbol.get(sym, 0) + signal.nbits
+            assert report.per_node_bits == per_node
+            assert report.per_symbol_bits == per_symbol
+            assert report.total_bits == sum(per_node.values())

@@ -10,14 +10,19 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from random_pdas import comp_pdas
 
 from pdamr import (
     InsufficientTauError,
+    JobSpec,
     NoMatchingFamilyError,
+    ParameterError,
     achieved_load,
     comb,
     full_star_pda,
     man_pda,
+    measure_loads,
     optimal_file_complexity,
     optimal_load,
     p1_pda,
@@ -29,6 +34,7 @@ from pdamr import (
     u_value,
     z_value,
 )
+from pdamr.loads import MAX_TRADEOFF_TERMS, tradeoff_terms
 
 
 def test_comb_zero_convention():
@@ -187,6 +193,33 @@ def test_achieved_load_against_brute_force():
                 (pda.params, q_active)
 
 
+def valid_qs(pda):
+    """Every active-set size the array tolerates: K - tau + 1 .. K."""
+    return range(pda.k - pda_stats(pda).tau + 1, pda.k + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(comp_pdas())
+def test_random_comp_pda_obeys_converse(pda):
+    r = pda_stats(pda).storage_load
+    for q_active in valid_qs(pda):
+        assert achieved_load(pda, q_active).l >= optimal_load(pda.k, q_active, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(comp_pdas())
+def test_random_comp_pda_three_witnesses_agree(pda):
+    # closed form, per-symbol enumeration and the exhaustive transcripts;
+    # D = Q and V = lcm(1..Q-1) make every coded block split evenly
+    for q_active in valid_qs(pda):
+        load = achieved_load(pda, q_active).l
+        assert load == brute_force_load(pda, q_active)
+        job = JobSpec(pda.f, q_active, 8, math.lcm(*range(1, q_active)), 8, seed=q_active)
+        report = measure_loads(pda, job, q_active)
+        assert report.l_measured == load
+        assert report.match and report.all_reference_match
+
+
 def test_subset_family_meets_tradeoff_small():
     for k in range(1, 6):
         for q in range(1, k + 1):
@@ -242,3 +275,22 @@ def test_prop1_rejections():
         prop1_check(7, 3, 7)  # 3 and 4 both fail to divide 7
     with pytest.raises(NoMatchingFamilyError):
         prop1_check(2, 1, 2)  # would need q = K, outside 2..K-1
+
+
+def test_tradeoff_terms_count_every_summed_term():
+    def summed(k, qs):
+        return sum(len(range(r + q - k, min(r, q - 1) + 1))
+                   for q in qs for r in range(k - q + 1, k + 1))
+
+    for k in range(1, 31):
+        assert tradeoff_terms(k) == summed(k, range(1, k + 1)), k
+        for q in range(1, k + 1):
+            assert tradeoff_terms(k, q) == summed(k, [q]), (k, q)
+    assert tradeoff_terms(200) == 671650 <= MAX_TRADEOFF_TERMS
+    with pytest.raises(ParameterError):
+        tradeoff_terms(0)
+
+
+def test_tradeoff_curve_refuses_over_budget():
+    with pytest.raises(ParameterError, match="sums 1249975000 exact terms, above the limit"):
+        tradeoff_curve(100000, 50000)
