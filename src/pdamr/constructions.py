@@ -162,7 +162,7 @@ def full_star_pda(k_nodes: int, f_rows: int) -> Pda:
         raise ParameterError("k_nodes and f_rows must be >= 1")
     _check_cells(f"fullstar({k_nodes},{f_rows})", lambda: f_rows, k_nodes,
                  f_rows.bit_length())
-    return Pda(tuple(tuple(STAR for _ in range(k_nodes)) for _ in range(f_rows)))
+    return _finish([[STAR] * k_nodes for _ in range(f_rows)])
 
 
 def stack_pda(*pdas: Pda) -> Pda:

@@ -25,8 +25,12 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .bits import Bits, block_stream, le64
-from .loads import LoadPair, achieved_load
+from .loads import LoadPair, achieved_load, comb
 from .pda import ParameterError, Pda, column_subarray
+
+# Grid cells a measure_loads request may walk, transcripts x F x K; an
+# exhaustive man(12,6) Q=8 walks 5,488,560
+MAX_TRANSCRIPT_CELLS = 10_000_000
 
 
 class DivisibilityError(ParameterError):
@@ -446,8 +450,15 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
     measured communication load with the closed-form value.
 
     ``samples=None`` enumerates all C(K,Q) sets; otherwise that many sets are
-    drawn uniformly with replacement using ``seed``.
+    drawn uniformly with replacement using ``seed``. Raises ParameterError
+    before any work when transcripts x F x K exceeds MAX_TRANSCRIPT_CELLS.
     """
+    transcripts = comb(pda.k, q_active) if samples is None else samples
+    if transcripts * pda.f * pda.k > MAX_TRANSCRIPT_CELLS:
+        raise ParameterError(
+            f"{transcripts} transcripts of a {pda.f}x{pda.k} array walk "
+            f"{transcripts * pda.f * pda.k} cells, above the limit of "
+            f"{MAX_TRANSCRIPT_CELLS}; draw fewer active sets with --samples")
     closed_form = achieved_load(pda, q_active)
 
     nodes = range(1, pda.k + 1)

@@ -88,16 +88,13 @@ def u_value(k_nodes: int, q_active: int, u: int) -> Fraction:
 
 def z_value(k_nodes: int, q_active: int, u: int) -> Fraction:
     """Node value of the converse bound at integer storage ``u``:
-    sum_l ((Q-l)/(Q*l)) * C(u,l) * C(K-u,Q-l) over l in [u+Q-K .. min(u,Q)].
-    Dividing by C(K,Q) recovers the fundamental tradeoff at r = u."""
+    sum_l ((Q-l)/(Q*l)) * C(u,l) * C(K-u,Q-l) over l in [u+Q-K .. min(u,Q)],
+    which is C(K,Q) times the fundamental tradeoff at r = u."""
     _check_kq(k_nodes, q_active)
     if not k_nodes - q_active + 1 <= u <= k_nodes:
         raise ParameterError(
             f"u must be in {k_nodes - q_active + 1}..{k_nodes}, got {u}")
-    total = Fraction(0)
-    for l in range(u + q_active - k_nodes, min(u, q_active) + 1):
-        total += Fraction(q_active - l, q_active * l) * comb(u, l) * comb(k_nodes - u, q_active - l)
-    return total
+    return comb(k_nodes, q_active) * optimal_load(k_nodes, q_active, u)
 
 
 def optimal_load(k_nodes: int, q_active: int, r) -> Fraction:

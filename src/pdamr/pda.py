@@ -10,11 +10,13 @@ ordinary symbol. Canonical arrays label their symbols 1..S in row-major order
 of first occurrence; column subarrays keep the parent's labels, so their label
 sets may have gaps.
 
-Parsed and constructed arrays come in through one intake (``_intake``): a
-single row-major scan relabels the symbols, records their occurrences and
-one star bitmask per row, and the PDA rules are then checked per symbol
-against those masks. The resulting ``Pda`` carries what the scan found, so
-nothing scans its grid again.
+One row-major pass (``_scan``) is the only walk over a grid's cells that
+finds its facts: it relabels the symbols, records their occurrences and one
+star bitmask per row, and flags entries that are not symbols. Parsed and
+constructed arrays come in through one intake (``_intake``), which checks
+the PDA rules per symbol against those masks and hands what the scan found
+to the ``Pda``; ``validate_pda`` and the facts of a directly built ``Pda``
+read the same scan.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class Pda:
     @cached_property
     def t(self) -> int:
         """Total number of star entries."""
-        return sum(row.count(STAR) for row in self.grid)
+        return sum(mask.bit_count() for mask in self.row_star_masks)
 
     @cached_property
     def s(self) -> int:
@@ -124,17 +126,15 @@ class Pda:
     @cached_property
     def occurrences(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """symbol -> ((row, col), ...) in row-major order, 0-based. Read-only."""
-        occ: dict[int, list[tuple[int, int]]] = {}
-        for i, row in enumerate(self.grid):
-            for j, entry in enumerate(row):
-                if entry != STAR:
-                    occ.setdefault(entry, []).append((i, j))
-        return {sym: tuple(pos) for sym, pos in occ.items()}
+        label_of, places, _, masks, _ = _scan(self.grid)
+        self.__dict__["row_star_masks"] = tuple(masks)  # one scan fills both
+        return {sym: tuple(places[label]) for sym, label in label_of.items()}
 
     @cached_property
     def row_star_masks(self) -> tuple[int, ...]:
         """Per row, a bitmask with bit j set when 0-based column j is a star."""
-        return tuple(sum(1 << j for j, e in enumerate(row) if e == STAR) for row in self.grid)
+        self.occurrences  # its scan fills both
+        return self.__dict__["row_star_masks"]
 
     @cached_property
     def tau(self) -> int:
@@ -155,12 +155,9 @@ class Pda:
         """(K, F, T, S)."""
         return (self.k, self.f, self.t, self.s)
 
-    def stars_in_row(self, i: int) -> int:
-        return self.grid[i].count(STAR)
-
     def star_rows(self, j: int) -> tuple[int, ...]:
         """0-based rows holding a star in column ``j``."""
-        return tuple(i for i in range(self.f) if self.grid[i][j] == STAR)
+        return tuple(i for i, mask in enumerate(self.row_star_masks) if mask >> j & 1)
 
 
 @dataclass(frozen=True)
@@ -221,6 +218,47 @@ def _rule_violations(sym, places, masks) -> list[Violation]:
     return violations
 
 
+def _scan(rows):
+    """The one pass over a grid's cells, row-major. Returns
+    ``(label_of, places, grid, masks, bad)``:
+
+    label_of  symbol entry -> label 1..S, in first-occurrence order
+    places    label -> list of its (row, col) occurrences, 0-based; places[0]
+              is None
+    grid      the rows relabelled, star cells kept as they are
+    masks     per row, a bitmask with bit j set when column j is a star
+    bad       a "symbol" Violation per entry that is neither STAR nor a
+              positive int, row-major; such a cell keeps its entry
+
+    An entry's type is tested before it is hashed, so 1.0 never merges with
+    1 and an unhashable entry is reported, not raised.
+    """
+    label_of: dict = {}
+    places: list = [None]
+    grid, masks, bad = [], [], []
+    for i, row in enumerate(rows):
+        mask = 0
+        labels = list(row)  # star cells stay as they are
+        for j, entry in enumerate(row):
+            if entry == STAR:
+                mask |= 1 << j
+            elif not isinstance(entry, int) or entry < 0:
+                bad.append(Violation(
+                    "symbol", (i + 1,), (j + 1,),
+                    f"entry at ({i + 1},{j + 1}) is not a star or a positive integer"))
+            else:
+                label = label_of.get(entry)
+                if label is None:
+                    label = label_of[entry] = len(places)
+                    places.append([(i, j)])
+                else:
+                    places[label].append((i, j))
+                labels[j] = label
+        grid.append(tuple(labels))
+        masks.append(mask)
+    return label_of, places, grid, masks, bad
+
+
 def validate_pda(grid, require_canonical: bool = True) -> ValidationReport:
     """Check a raw grid against the PDA rules and report every violation.
 
@@ -236,81 +274,42 @@ def validate_pda(grid, require_canonical: bool = True) -> ValidationReport:
     if any(len(row) != width for row in rows):
         raise ValueError("grid must be rectangular")
 
-    violations: list[Violation] = []
-    occ: dict[int, list[tuple[int, int]]] = {}
-    masks = []
-    for i, row in enumerate(rows):
-        mask = 0
-        for j, entry in enumerate(row):
-            if entry == STAR:
-                mask |= 1 << j
-                continue
-            if not isinstance(entry, int) or entry < 0:
-                violations.append(Violation(
-                    "symbol", (i + 1,), (j + 1,),
-                    f"entry at ({i + 1},{j + 1}) is not a star or a positive integer"))
-                continue
-            occ.setdefault(entry, []).append((i, j))
-        masks.append(mask)
+    label_of, places, _, masks, violations = _scan(rows)
+    symbols = sorted(label_of)
+    for sym in symbols:
+        violations += _rule_violations(sym, places[label_of[sym]], masks)
 
-    for sym in sorted(occ):
-        violations += _rule_violations(sym, occ[sym], masks)
-
-    if require_canonical and occ:
-        labels = sorted(occ)
-        for missing in sorted(set(range(1, labels[-1] + 1)) - set(labels)):
+    if require_canonical and symbols:
+        for missing in sorted(set(range(1, symbols[-1] + 1)) - set(symbols)):
             violations.append(Violation(
                 "coverage", (), (),
-                f"symbol {missing} never occurs (labels must cover 1..{labels[-1]})"))
-        firsts = sorted(occ, key=lambda sym: occ[sym][0])
-        for expected, sym in enumerate(firsts, start=1):
+                f"symbol {missing} never occurs (labels must cover 1..{symbols[-1]})"))
+        for expected, sym in enumerate(label_of, start=1):  # first-occurrence order
             if sym != expected:
-                i, j = occ[sym][0]
+                i, j = places[expected][0]
                 violations.append(Violation(
                     "numbering", (i + 1,), (j + 1,),
                     f"symbol {sym} first occurs at ({i + 1},{j + 1}) out of "
                     f"first-occurrence order (expected {expected})"))
                 break
 
-    params = None
-    if not violations:
-        t = sum(row.count(STAR) for row in rows)
-        params = (width, len(rows), t, len(occ))
-    return ValidationReport(tuple(violations), params)
+    params = (width, len(rows), sum(map(int.bit_count, masks)), len(label_of))
+    return ValidationReport(tuple(violations), None if violations else params)
 
 
 def _intake(rows) -> Pda:
     """The validated canonical ``Pda`` of a nonempty rectangular grid whose
-    entries are STAR (the int 0) or any other hashable symbol name.
+    entries are STAR or positive ints.
 
-    One row-major scan renumbers the symbols 1..S by first occurrence and
-    records each symbol's occurrences and each row's star mask; each symbol
-    is then checked by ``_rule_violations``. Rule cost is O(cells + sum of
+    ``_scan`` renumbers the symbols 1..S by first occurrence and records each
+    symbol's occurrences and each row's star mask; each symbol is then
+    checked by ``_rule_violations``. Rule cost is O(cells + sum of
     multiplicities) unless a rule breaks. Raises PdaValidationError listing
-    every violation, in label order.
+    every violation: any "symbol" ones of the scan, then the rules in label
+    order.
     """
-    label_of: dict = {}
-    places: list = [None]  # label -> its occurrences, row-major
-    grid, masks = [], []
-    for i, row in enumerate(rows):
-        mask = 0
-        labels = list(row)  # star cells stay as they are
-        for j, name in enumerate(row):
-            if name == STAR:
-                mask |= 1 << j
-                continue
-            label = label_of.get(name)
-            if label is None:
-                label = label_of[name] = len(places)
-                places.append([(i, j)])
-            else:
-                places[label].append((i, j))
-            labels[j] = label
-        grid.append(tuple(labels))
-        masks.append(mask)
-
+    _, places, grid, masks, violations = _scan(rows)
     occurrences: dict[int, tuple[tuple[int, int], ...]] = {}
-    violations: list[Violation] = []
     for label in range(1, len(places)):
         occurrences[label] = found = tuple(places[label])
         places[label] = None  # never hold both copies of every occurrence list

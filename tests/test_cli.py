@@ -424,6 +424,19 @@ def test_tradeoff_budget_refuses_before_any_work(capsys):
                       "terms, above the limit of 1000000\n")
 
 
+def test_simulate_budget_refuses_before_any_work(capsys, tmp_path):
+    path = tmp_path / "man14_7.pda"
+    path.write_text(render_pda(man_pda(14, 7)))
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "simulate", "--pda", str(path), "--q", "9",
+                               "--files", "3432", "--functions", "9", "--file-bits", "64",
+                               "--iva-bits", "840", "--output-bits", "64", "--out", os.devnull)
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and stdout == ""
+    assert stderr == ("error: 2002 transcripts of a 3432x14 array walk 96192096 cells, "
+                      "above the limit of 10000000; draw fewer active sets with --samples\n")
+
+
 # sha256 of the whole output of `tradeoff --k 40 --all-q`, recorded before
 # the work budget existed
 PINNED_ALL_Q = {

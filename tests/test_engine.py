@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from pdamr import (
     EmptyStarRowError,
     EngineDefectError,
     JobSpec,
+    ParameterError,
     Pda,
     TranscriptReport,
     Workload,
@@ -456,16 +458,18 @@ def test_mixed_multiplicity_stack_end_to_end():
         assert report.match and report.all_reference_match
 
 
+def no_transcript(pda, job, active, workload=None):
+    """Stands in for run_transcript where only the choice of sets matters."""
+    return TranscriptReport(active=tuple(active), signals={}, per_node_bits={},
+                            per_symbol_bits={}, total_bits=0, outputs={},
+                            reference_match=True)
+
+
 def test_sampling_draws_sets_without_enumerating(monkeypatch):
     # C(30, 20) is about 3e7 sets; the sampler must never list them, and no
     # job small enough to transcribe meets lcm(1..19) | eta*(D/Q)*V
     def no_enumeration(*args):
         raise AssertionError("active sets enumerated in sample mode")
-
-    def no_transcript(pda, job, active, workload=None):
-        return TranscriptReport(active=tuple(active), signals={}, per_node_bits={},
-                                per_symbol_bits={}, total_bits=0, outputs={},
-                                reference_match=True)
 
     monkeypatch.setattr(engine, "combinations", no_enumeration)
     monkeypatch.setattr(engine, "run_transcript", no_transcript)
@@ -477,6 +481,31 @@ def test_sampling_draws_sets_without_enumerating(monkeypatch):
         assert set(active) <= set(range(1, 31)) and bits == 0
     assert report.l_measured == 0 and report.match
     assert measure_loads(pda, job, 20, samples=3, seed=5) == report
+
+
+def test_work_budget_refuses_before_any_work(monkeypatch):
+    # man(14,7) Q=9: 2002 transcripts of 3432 x 14 cells, about 2 h of work
+    def no_load(*args):
+        raise AssertionError("work started before the budget check")
+
+    pda, job = man_pda(14, 7), JobSpec(3432, 9, 64, 840, 64)
+    monkeypatch.setattr(engine, "achieved_load", no_load)
+    with pytest.raises(ParameterError, match=r"^2002 transcripts of a 3432x14 array walk "
+                       r"96192096 cells, above the limit of 10000000; .*--samples$"):
+        measure_loads(pda, job, 9)
+    monkeypatch.undo()
+    monkeypatch.setattr(engine, "run_transcript", no_transcript)
+    report = measure_loads(pda, job, 9, samples=3)
+    assert report.mode == "sample" and len(report.per_active_set) == 3
+
+    # the exhaustive man(12,6) Q=8 run stays inside the budget
+    assert math.comb(12, 8) * math.comb(12, 6) * 12 == 5_488_560 <= engine.MAX_TRANSCRIPT_CELLS
+    # the limit itself is allowed: C(4,3) transcripts of man(4,2) walk 96 cells
+    monkeypatch.setattr(engine, "MAX_TRANSCRIPT_CELLS", 96)
+    assert len(measure_loads(EX1, TOY, 3).per_active_set) == 4
+    monkeypatch.setattr(engine, "MAX_TRANSCRIPT_CELLS", 95)
+    with pytest.raises(ParameterError, match="walk 96 cells"):
+        measure_loads(EX1, TOY, 3)
 
 
 def test_exhaustive_mode_draws_active_sets_lazily(monkeypatch):

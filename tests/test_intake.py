@@ -18,6 +18,7 @@ from pdamr import (
     PdaValidationError,
     ValidationReport,
     Violation,
+    full_star_pda,
     man_pda,
     p2_pda,
     parse_pda,
@@ -174,5 +175,5 @@ def test_parse_matches_relabel_then_pairwise_reference(grid):
 
 
 def test_intake_facts_of_families():
-    for pda in (man_pda(6, 3), p2_pda(3, 2), man_pda(4, 4)):
+    for pda in (man_pda(6, 3), p2_pda(3, 2), man_pda(4, 4), full_star_pda(3, 2)):
         assert_same_facts(pda)

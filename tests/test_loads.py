@@ -7,11 +7,11 @@ subset-enumeration oracle at the bottom of this file.
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
-from random_pdas import comp_pdas
+from random_pdas import comp_pdas, greedy_comp_pda
 
 from pdamr import (
     InsufficientTauError,
@@ -30,6 +30,8 @@ from pdamr import (
     parse_pda,
     pda_stats,
     prop1_check,
+    render_pda,
+    stack_pda,
     tradeoff_curve,
     u_value,
     z_value,
@@ -62,11 +64,18 @@ def test_z_value_small():
         assert z_value(k, q, k) == 0
 
 
+def literal_z_value(k, q, u):
+    """The converse bound's node value as the literal sum over l."""
+    return sum((Fraction(q - l, q * l) * comb(u, l) * comb(k - u, q - l)
+                for l in range(u + q - k, min(u, q) + 1)), Fraction(0))
+
+
 def test_z_value_matches_tradeoff():
     for k in range(2, 13):
         for q in range(1, k + 1):
             for u in range(k - q + 1, k + 1):
-                assert z_value(k, q, u) == comb(k, q) * optimal_load(k, q, u)
+                assert z_value(k, q, u) == literal_z_value(k, q, u)
+                assert literal_z_value(k, q, u) == comb(k, q) * optimal_load(k, q, u)
 
 
 def test_range_checks():
@@ -218,6 +227,61 @@ def test_random_comp_pda_three_witnesses_agree(pda):
         report = measure_loads(pda, job, q_active)
         assert report.l_measured == load
         assert report.match and report.all_reference_match
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 3)])
+def test_memory_sharing_lies_on_the_tradeoff(a, b):
+    # a copies of man(K,i) stacked with b copies of man(K,i+1) sit exactly on
+    # the interpolated curve at their own (fractional) storage load
+    for k in range(3, 7):
+        for i in range(1, k - 1):
+            pda = stack_pda(*[man_pda(k, i)] * a, *[man_pda(k, i + 1)] * b)
+            r = pda_stats(pda).storage_load
+            assert i < r < i + 1
+            for q_active in range(k - i + 1, k + 1):
+                pair = achieved_load(pda, q_active)
+                assert (pair.r, pair.l) == (r, optimal_load(k, q_active, r)), (k, i, q_active)
+
+
+def test_on_curve_array_with_unequal_storage_needs_few_files():
+    # one row, node 4 stores nothing: on the curve at r = 3 with F = 1 < C(4,3)
+    pda = parse_pda("1 4\n* * * 1\n")
+    pair = achieved_load(pda, 2)
+    assert (pair.r, pair.l) == (3, Fraction(1, 4)) == (3, optimal_load(4, 2, 3))
+    assert pda.f < comb(4, 3)
+
+
+def check_file_complexity(pda) -> bool:
+    """The file-complexity claim with the hypothesis it needs: when every
+    node stores the same number of batches, r is an integer and some valid Q
+    puts the array on the curve, it has at least C(K,r) rows. Returns
+    whether the premise held."""
+    r = pda_stats(pda).storage_load
+    per_node = {len(pda.star_rows(j)) for j in range(pda.k)}
+    if len(per_node) > 1 or r.denominator != 1:
+        return False
+    if not any(achieved_load(pda, q).l == optimal_load(pda.k, q, r) for q in valid_qs(pda)):
+        return False
+    assert pda.f >= comb(pda.k, int(r)), render_pda(pda)
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(comp_pdas())
+def test_on_curve_with_equal_storage_needs_man_file_count(pda):
+    check_file_complexity(pda)
+
+
+def test_file_complexity_on_every_small_star_pattern():
+    # every star pattern with K <= 4 and F <= 4 (F <= 6 at K = 2) and an equal
+    # star count in every column, filled greedily
+    held = 0
+    for k, max_f in ((2, 6), (3, 4), (4, 4)):
+        for f in range(1, max_f + 1):
+            for masks in product(range(1, 1 << k), repeat=f):
+                if len({sum(mask >> j & 1 for mask in masks) for j in range(k)}) == 1:
+                    held += check_file_complexity(greedy_comp_pda(masks, k))
+    assert held == 102
 
 
 def test_subset_family_meets_tradeoff_small():

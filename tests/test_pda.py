@@ -152,6 +152,19 @@ def test_validate_reports_bad_symbols():
     assert "not a star or a positive integer" in report.summary()
 
 
+@pytest.mark.parametrize("entry", [1.0, [1], None, "1"])
+def test_validate_flags_entries_that_are_not_ints(entry):
+    # the type is tested before the entry is hashed: 1.0 does not merge with
+    # 1, and an unhashable entry is a violation, not a TypeError
+    report = validate_pda(((STAR, 1), (entry, STAR)))
+    assert [(v.rule, v.rows, v.cols) for v in report.violations] == [("symbol", (2,), (1,))]
+
+
+def test_validate_merges_true_with_one():
+    report = validate_pda(((STAR, 1), (True, STAR)))
+    assert report.ok and report.params == (2, 2, 2, 1)
+
+
 def test_validation_summary_of_valid_grid():
     assert validate_pda(EXAMPLE_GRID).summary() == "OK: (4,6,12,4) PDA"
 
@@ -277,5 +290,5 @@ def test_cached_facts_of_unvalidated_grid():
 def test_pda_helpers():
     pda = parse_pda(EXAMPLE_TEXT)
     assert pda.star_rows(0) == (0, 1, 2)
-    assert pda.stars_in_row(5) == 2
+    assert pda.row_star_masks[5].bit_count() == 2
     assert Pda(EXAMPLE_GRID) == pda
