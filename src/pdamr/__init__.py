@@ -22,7 +22,6 @@ from .engine import (
     build_placement,
     job_geometry,
     measure_loads,
-    minimal_valid_v,
     plan_active_set,
     reference_oracle,
     run_transcript,
@@ -74,7 +73,7 @@ __all__ = [
     "ValidationReport", "Violation", "Workload", "achieved_load",
     "block_stream", "build_placement", "column_subarray", "comb",
     "full_star_pda", "fnv1a64", "job_geometry", "le64", "man_pda",
-    "measure_loads", "minimal_valid_v", "optimal_file_complexity",
+    "measure_loads", "optimal_file_complexity",
     "optimal_load", "p1_pda", "p2_pda", "parse_pda", "pda_stats",
     "plan_active_set", "prop1_check", "reference_oracle", "render_pda",
     "run_transcript", "stack_pda", "storage_profile", "tradeoff_curve", "u_value",

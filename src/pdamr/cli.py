@@ -23,12 +23,7 @@ from fractions import Fraction
 
 from . import __version__
 from .constructions import full_star_pda, man_pda, p1_pda, p2_pda
-from .engine import (
-    DivisibilityError,
-    JobSpec,
-    measure_loads,
-    minimal_valid_v,
-)
+from .engine import JobSpec, measure_loads
 from .loads import (
     _check_kq,
     achieved_load,
@@ -212,26 +207,17 @@ def cmd_tradeoff(args) -> int:
 def cmd_simulate(args) -> int:
     pda = read_pda(args.pda)
     _check_kq(pda.k, args.q)  # the padding below divides by Q
-    d_requested = args.functions
-    d_used = d_requested
-    if d_used % args.q != 0:
-        # pad with empty functions so every active node gets the same count
-        d_used = ((d_requested + args.q - 1) // args.q) * args.q
+    # pad with empty functions so every active node gets the same count
+    d_used = -(-args.functions // args.q) * args.q
     job = JobSpec(n_files=args.files, d_functions=d_used, w_bits=args.file_bits,
                   v_bits=args.iva_bits, u_bits=args.output_bits, seed=args.seed)
-
-    suggestion = minimal_valid_v(pda, job, args.q)
-    if suggestion != args.iva_bits:
-        raise DivisibilityError(
-            f"iva bits {args.iva_bits} fails the split-divisibility condition; "
-            f"smallest valid value is --iva-bits {suggestion}")
 
     report = measure_loads(pda, job, args.q, samples=args.samples,
                            seed=args.sample_seed)
     results = {
         "mode": report.mode,
         "q_active": args.q,
-        "functions_requested": d_requested,
+        "functions_requested": args.functions,
         "functions_used": d_used,
         "r_measured": rat(report.r_measured),
         "l_measured": rat(report.l_measured),
@@ -243,13 +229,13 @@ def cmd_simulate(args) -> int:
             for active, bits in report.per_active_set
         ],
     }
-    if d_used != d_requested:
+    if d_used != args.functions:
         # load normalized by the unpadded function count, for comparison
-        raw = report.l_measured * d_used / d_requested
+        raw = report.l_measured * d_used / args.functions
         results["l_measured_raw_functions"] = rat(raw)
     emit_json(envelope("simulate", {
         "pda": args.pda, "q": args.q, "files": args.files,
-        "functions": d_requested, "iva_bits": args.iva_bits, "seed": args.seed,
+        "functions": args.functions, "iva_bits": args.iva_bits, "seed": args.seed,
         "samples": args.samples,
     }, results), args.out)
 

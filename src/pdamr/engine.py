@@ -25,12 +25,15 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .bits import Bits, block_stream, le64
-from .loads import LoadPair, achieved_load, comb
+from .loads import LoadPair, _check_kq, achieved_load, comb
 from .pda import ParameterError, Pda, column_subarray
 
 # Grid cells a measure_loads request may walk, transcripts x F x K; an
 # exhaustive man(12,6) Q=8 walks 5,488,560
 MAX_TRANSCRIPT_CELLS = 10_000_000
+# Bytes a job's files, map values and reference outputs hash (each once per
+# job); man(4,2) with V = 2**23 hashes 94.4M in about 12 s
+MAX_HASHED_BYTES = 10**8
 
 
 class DivisibilityError(ParameterError):
@@ -53,10 +56,8 @@ class JobSpec:
     intermediate values and U-bit outputs, all derived from ``seed``.
 
     A job is run against a PDA with F rows, which partitions the files into F
-    batches of eta = N/F files; F must divide N. The active-set size Q must
-    divide D, and lcm(1..Q-1) must divide eta*(D/Q)*V so that every coded
-    block splits into equal parts on bit boundaries. ``job_geometry`` holds
-    those checks, since they need F and Q.
+    batches of eta = N/F files. ``job_geometry`` holds the rules a job must
+    meet on a PDA and an active-set size, since they need F and Q.
     """
 
     n_files: int
@@ -75,15 +76,16 @@ class JobSpec:
 class Geometry(NamedTuple):
     eta: int         # files per batch, N/F
     block_bits: int  # width of every coded block, eta*(D/Q)*V
-    divisor: int     # lcm(1..Q-1), which must divide block_bits
 
 
 def job_geometry(pda: Pda, job: JobSpec, q: int) -> Geometry:
     """Block geometry of ``job`` on ``pda`` with active sets of size ``q``.
 
-    Raises DivisibilityError unless F divides N and q divides D; whether
-    ``divisor`` divides ``block_bits`` is left to the caller.
+    The one home of the job rules, in order: q in 1..K, then F | N, q | D
+    and lcm(1..q-1) | eta*(D/q)*V (DivisibilityError), since a symbol seen
+    g <= q times among the active columns splits its blocks into g-1 parts.
     """
+    _check_kq(pda.k, q)
     if job.n_files % pda.f != 0:
         raise DivisibilityError(
             f"row count {pda.f} must divide the number of files {job.n_files}",
@@ -93,7 +95,28 @@ def job_geometry(pda: Pda, job: JobSpec, q: int) -> Geometry:
             f"active-set size {q} must divide the number of functions {job.d_functions}",
             divisor=q, value=job.d_functions)
     eta = job.n_files // pda.f
-    return Geometry(eta, eta * (job.d_functions // q) * job.v_bits, math.lcm(*range(1, q)))
+    per_v = eta * (job.d_functions // q)
+    need = math.lcm(*range(1, q))
+    if per_v * job.v_bits % need != 0:
+        step = need // math.gcd(need, per_v)
+        valid = -(-job.v_bits // step) * step
+        raise DivisibilityError(
+            f"lcm(1..{q - 1}) = {need} must divide eta*(D/Q)*V = {per_v * job.v_bits} "
+            f"so coded blocks split evenly; at or above V = {job.v_bits}, the "
+            f"smallest valid V is {valid} (--iva-bits {valid})",
+            divisor=need, value=per_v * job.v_bits)
+    return Geometry(eta, per_v * job.v_bits)
+
+
+def hashed_bytes(job: JobSpec) -> int:
+    """Bytes FNV-1a hashes for ``job`` once: its N files, N*D map values and
+    D reference outputs. Transcripts that match reuse all of them."""
+    def stream(nbits: int, header: int, payload: int) -> int:
+        return -(-nbits // 64) * (header + 8 + payload)  # 8: LE64 block index
+    n, d = job.n_files, job.d_functions
+    return (n * stream(job.w_bits, 16, 0)
+            + n * d * stream(job.v_bits, 16, -(-job.w_bits // 8))
+            + d * stream(job.u_bits, 8, -(-n * job.v_bits // 8)))
 
 
 class Workload:
@@ -224,20 +247,13 @@ class ActiveSetPlan:
 def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
     """Build the shuffle/reduce plan for ``active`` (1-based node labels).
 
-    Checks the divisibility preconditions that depend on Q, and raises
-    EmptyStarRowError if the restriction to the active columns leaves a row
-    uncovered (the excluded outage case).
+    Raises EmptyStarRowError if the restriction to the active columns leaves
+    a row uncovered (the excluded outage case), then checks ``job_geometry``.
     """
     active = tuple(sorted(active))
     q = len(active)
     subarray = column_subarray(pda, active)
-
-    _, block_bits, need = job_geometry(pda, job, q)
-    if block_bits % need != 0:
-        raise DivisibilityError(
-            f"lcm(1..{q - 1}) = {need} must divide eta*(D/Q)*V = {block_bits} "
-            f"so coded blocks split evenly",
-            divisor=need, value=block_bits)
+    job_geometry(pda, job, q)
 
     active_mask = sum(1 << (k - 1) for k in active)
     occurrences: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -308,7 +324,7 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     if wl.job != job:
         raise ValueError("workload belongs to a different job")
     plan = plan_active_set(pda, active, job)
-    eta, block_bits, _ = job_geometry(pda, job, len(plan.active))
+    eta, block_bits = job_geometry(pda, job, len(plan.active))
     v = job.v_bits
     iva = wl.iva
     masks = pda.row_star_masks
@@ -450,15 +466,23 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
     measured communication load with the closed-form value.
 
     ``samples=None`` enumerates all C(K,Q) sets; otherwise that many sets are
-    drawn uniformly with replacement using ``seed``. Raises ParameterError
-    before any work when transcripts x F x K exceeds MAX_TRANSCRIPT_CELLS.
+    drawn uniformly with replacement using ``seed``. Before any work it checks
+    the Q range, ``samples``, ``job_geometry`` and two budgets: transcripts x
+    F x K up to MAX_TRANSCRIPT_CELLS, ``hashed_bytes`` up to MAX_HASHED_BYTES.
     """
+    _check_kq(pda.k, q_active)
+    if samples is not None and samples < 1:
+        raise ParameterError("samples must be >= 1")
+    job_geometry(pda, job, q_active)
     transcripts = comb(pda.k, q_active) if samples is None else samples
     if transcripts * pda.f * pda.k > MAX_TRANSCRIPT_CELLS:
         raise ParameterError(
             f"{transcripts} transcripts of a {pda.f}x{pda.k} array walk "
             f"{transcripts * pda.f * pda.k} cells, above the limit of "
             f"{MAX_TRANSCRIPT_CELLS}; draw fewer active sets with --samples")
+    if hashed_bytes(job) > MAX_HASHED_BYTES:
+        raise ParameterError(f"the job's files, map values and reference outputs hash "
+                             f"{hashed_bytes(job)} bytes, above the limit of {MAX_HASHED_BYTES}")
     closed_form = achieved_load(pda, q_active)
 
     nodes = range(1, pda.k + 1)
@@ -466,8 +490,6 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
         chosen = combinations(nodes, q_active)
         mode = "exhaustive"
     else:
-        if samples < 1:
-            raise ParameterError("samples must be >= 1")
         rng = random.Random(seed)
         chosen = (tuple(sorted(rng.sample(nodes, q_active))) for _ in range(samples))
         mode = "sample"
@@ -498,11 +520,3 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
         all_reference_match=all_match,
     )
 
-
-def minimal_valid_v(pda: Pda, job: JobSpec, q_active: int) -> int:
-    """Smallest V >= job.v_bits satisfying the split-divisibility condition
-    lcm(1..Q-1) | eta*(D/Q)*V for this PDA and active-set size."""
-    _, block_bits, need = job_geometry(pda, job, q_active)
-    per_bit = block_bits // job.v_bits
-    step = need // math.gcd(need, per_bit)
-    return ((job.v_bits + step - 1) // step) * step

@@ -43,3 +43,13 @@ def comp_pdas(draw, max_k: int = 5, max_f: int = 8) -> Pda:
     k = draw(st.integers(2, max_k))
     masks = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=max_f))
     return greedy_comp_pda(masks, k)
+
+
+@st.composite
+def balanced_comp_pdas(draw) -> Pda:
+    """A greedy Comp-PDA whose columns all hold the same number of stars: K in
+    3..8, and every cyclic shift of 1-3 random base star masks as a row."""
+    k = draw(st.integers(3, 8))
+    full = (1 << k) - 1
+    bases = draw(st.lists(st.integers(1, full), min_size=1, max_size=3))
+    return greedy_comp_pda([(m << s | m >> (k - s)) & full for m in bases for s in range(k)], k)

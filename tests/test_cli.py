@@ -437,6 +437,20 @@ def test_simulate_budget_refuses_before_any_work(capsys, tmp_path):
                       "above the limit of 10000000; draw fewer active sets with --samples\n")
 
 
+def test_simulate_hashed_bytes_budget_refuses_before_any_work(capsys, tmp_path):
+    # V = 2**30 passes the cell budget (96 cells) but would hash 12 GB
+    path = tmp_path / "ex1.pda"
+    run(capsys, "gen", "man", "--k", "4", "--i", "2", "--out", str(path))
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "simulate", "--pda", str(path), "--q", "3",
+                               "--files", "6", "--functions", "3",
+                               "--iva-bits", "1073741824", "--out", os.devnull)
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and stdout == ""
+    assert stderr == ("error: the job's files, map values and reference outputs hash "
+                      "12079595712 bytes, above the limit of 100000000\n")
+
+
 # sha256 of the whole output of `tradeoff --k 40 --all-q`, recorded before
 # the work budget existed
 PINNED_ALL_Q = {

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script and every README python block runs to completion
+against the package sources."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +24,14 @@ def test_demo_runs(demo):
                           env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                              env=env, cwd=ROOT, timeout=120)
+        assert proc.returncode == 0, block + proc.stderr

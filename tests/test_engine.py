@@ -29,7 +29,6 @@ from pdamr import (
     le64,
     man_pda,
     measure_loads,
-    minimal_valid_v,
     optimal_load,
     achieved_load,
     p1_pda,
@@ -297,19 +296,18 @@ def test_workload_iva_depends_on_file_content():
     assert wl.iva(1, 1) != wl.iva(2, 1)
 
 
-def test_minimal_valid_v():
-    assert minimal_valid_v(EX1, JobSpec(6, 3, 8, 7, 8, 0), 3) == 8
-    assert minimal_valid_v(EX1, JobSpec(6, 3, 8, 120, 8, 0), 3) == 120
-    # eta = 2 already contributes a factor 2, so any V works for Q = 3
-    assert minimal_valid_v(EX1, JobSpec(12, 3, 8, 7, 8, 0), 3) == 7
-    with pytest.raises(DivisibilityError):
-        minimal_valid_v(EX1, JobSpec(7, 3, 8, 8, 8, 0), 3)
-
-
 def test_job_geometry():
     geometry = job_geometry(EX1, JobSpec(12, 6, 8, 10, 8, 0), 3)
-    assert geometry == (2, 2 * 2 * 10, 2)
-    assert job_geometry(EX1, TOY, 1).divisor == 1
+    assert geometry == (2, 2 * 2 * 10)
+    assert job_geometry(EX1, JobSpec(6, 3, 8, 120, 8, 0), 3) == (1, 120)
+    # eta = 2 already contributes a factor 2, so any V works for Q = 3
+    assert job_geometry(EX1, JobSpec(12, 3, 8, 7, 8, 0), 3) == (2, 14)
+    with pytest.raises(DivisibilityError) as err:
+        job_geometry(EX1, JobSpec(6, 3, 8, 7, 8, 0), 3)
+    assert (err.value.divisor, err.value.value) == (2, 7)
+    assert str(err.value) == ("lcm(1..2) = 2 must divide eta*(D/Q)*V = 7 so coded blocks "
+                              "split evenly; at or above V = 7, the smallest valid V is 8 "
+                              "(--iva-bits 8)")
     with pytest.raises(DivisibilityError) as err:
         job_geometry(EX1, JobSpec(7, 3, 8, 8, 8, 0), 3)
     assert (err.value.divisor, err.value.value) == (6, 7)
@@ -318,6 +316,9 @@ def test_job_geometry():
         job_geometry(EX1, JobSpec(6, 4, 8, 8, 8, 0), 3)
     assert (err.value.divisor, err.value.value) == (3, 4)
     assert str(err.value) == "active-set size 3 must divide the number of functions 4"
+    for q in (0, 5):  # the Q range comes first, so q = 0 never divides
+        with pytest.raises(ParameterError, match=f"q_active must be in 1..4, got {q}"):
+            job_geometry(EX1, TOY, q)
 
 
 def misdirect_singleton(plan):
@@ -466,28 +467,30 @@ def no_transcript(pda, job, active, workload=None):
 
 
 def test_sampling_draws_sets_without_enumerating(monkeypatch):
-    # C(30, 20) is about 3e7 sets; the sampler must never list them, and no
-    # job small enough to transcribe meets lcm(1..19) | eta*(D/Q)*V
+    # C(30, 12) is about 8.6e7 sets; the sampler must never list them.
+    # V = lcm(1..11) meets the split rule at Q = 12 with eta = D/Q = 1
     def no_enumeration(*args):
         raise AssertionError("active sets enumerated in sample mode")
 
     monkeypatch.setattr(engine, "combinations", no_enumeration)
     monkeypatch.setattr(engine, "run_transcript", no_transcript)
-    pda, job = full_star_pda(30, 1), JobSpec(1, 20, 8, 8, 8, 0)
-    report = measure_loads(pda, job, 20, samples=3, seed=5)
+    pda, job = full_star_pda(30, 1), JobSpec(1, 12, 8, 27720, 8, 0)
+    report = measure_loads(pda, job, 12, samples=3, seed=5)
     assert report.mode == "sample" and len(report.per_active_set) == 3
     for active, bits in report.per_active_set:
-        assert len(set(active)) == 20 and list(active) == sorted(active)
+        assert len(set(active)) == 12 and list(active) == sorted(active)
         assert set(active) <= set(range(1, 31)) and bits == 0
     assert report.l_measured == 0 and report.match
-    assert measure_loads(pda, job, 20, samples=3, seed=5) == report
+    assert measure_loads(pda, job, 12, samples=3, seed=5) == report
+
+
+def no_load(*args):
+    """Stands in for achieved_load, the first work measure_loads does."""
+    raise AssertionError("work started before the intake checks")
 
 
 def test_work_budget_refuses_before_any_work(monkeypatch):
     # man(14,7) Q=9: 2002 transcripts of 3432 x 14 cells, about 2 h of work
-    def no_load(*args):
-        raise AssertionError("work started before the budget check")
-
     pda, job = man_pda(14, 7), JobSpec(3432, 9, 64, 840, 64)
     monkeypatch.setattr(engine, "achieved_load", no_load)
     with pytest.raises(ParameterError, match=r"^2002 transcripts of a 3432x14 array walk "
@@ -506,6 +509,53 @@ def test_work_budget_refuses_before_any_work(monkeypatch):
     monkeypatch.setattr(engine, "MAX_TRANSCRIPT_CELLS", 95)
     with pytest.raises(ParameterError, match="walk 96 cells"):
         measure_loads(EX1, TOY, 3)
+
+    # the same holds for the hashed bytes: man(4,2) at V = 2**23 hashes
+    # 94.4M bytes and still runs, 2**24 is refused
+    assert engine.hashed_bytes(JobSpec(6, 3, 64, 2**23, 64)) == 94_372_032
+    assert engine.hashed_bytes(JobSpec(6, 3, 64, 2**24, 64)) > engine.MAX_HASHED_BYTES
+    monkeypatch.undo()
+    monkeypatch.setattr(engine, "MAX_HASHED_BYTES", engine.hashed_bytes(TOY))
+    assert measure_loads(EX1, TOY, 3).match
+    monkeypatch.setattr(engine, "MAX_HASHED_BYTES", engine.hashed_bytes(TOY) - 1)
+    with pytest.raises(ParameterError, match=f"hash {engine.hashed_bytes(TOY)} bytes"):
+        measure_loads(EX1, TOY, 3)
+
+
+@pytest.mark.parametrize("job, q_active, samples, message", [
+    (JobSpec(6, 3, 8, 7, 8), 3, None, r"^lcm\(1\.\.2\) = 2 must divide .* smallest valid V "
+                                      r"is 8 \(--iva-bits 8\)$"),
+    (TOY, 0, None, r"^q_active must be in 1\.\.4, got 0$"),
+    (TOY, 3, -1, r"^samples must be >= 1$"),
+    (JobSpec(6, 3, 64, 2**30, 64), 3, None, r"^the job's files, map values and reference "
+                                            r"outputs hash 12079595712 bytes, above the "
+                                            r"limit of 100000000$"),
+], ids=["lcm", "q0", "samples", "hashed-bytes"])
+def test_intake_refuses_before_any_work(monkeypatch, job, q_active, samples, message):
+    monkeypatch.setattr(engine, "achieved_load", no_load)
+    with pytest.raises(ParameterError, match=message):
+        measure_loads(EX1, job, q_active, samples=samples)
+
+
+@pytest.mark.parametrize("pda, job, q_active", [
+    (EX1, TOY, 3),
+    (EX1, JobSpec(12, 3, 12, 8, 20, seed=1), 3),           # W and U not byte multiples
+    (man_pda(5, 2), JobSpec(10, 4, 100, 66, 130, seed=2), 4),  # 2- and 3-block streams
+    (man_pda(4, 3), JobSpec(4, 2, 64, 1, 1), 2),           # one-bit values and outputs
+])
+def test_hashed_bytes_counts_every_stream(monkeypatch, pda, job, q_active):
+    # the estimate equals what the run hashes, counted per stream as
+    # ceil(nbits/64) blocks of header + LE64(index) + payload
+    hashed = []
+
+    def counting(header, payload, nbits):
+        hashed.append(-(-nbits // 64) * (len(header) + 8 + len(payload)))
+        return block_stream(header, payload, nbits)
+
+    monkeypatch.setattr(engine, "block_stream", counting)
+    report = measure_loads(pda, job, q_active)
+    assert report.match and report.all_reference_match
+    assert sum(hashed) == engine.hashed_bytes(job)
 
 
 def test_exhaustive_mode_draws_active_sets_lazily(monkeypatch):

@@ -11,7 +11,7 @@ from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
-from random_pdas import comp_pdas, greedy_comp_pda
+from random_pdas import balanced_comp_pdas, comp_pdas, greedy_comp_pda
 
 from pdamr import (
     InsufficientTauError,
@@ -208,11 +208,12 @@ def valid_qs(pda):
 
 
 @settings(max_examples=150, deadline=None)
-@given(comp_pdas())
-def test_random_comp_pda_obeys_converse(pda):
-    r = pda_stats(pda).storage_load
-    for q_active in valid_qs(pda):
-        assert achieved_load(pda, q_active).l >= optimal_load(pda.k, q_active, r)
+@given(comp_pdas(), balanced_comp_pdas())
+def test_random_comp_pda_obeys_converse(greedy, balanced):
+    for pda in (greedy, balanced):
+        r = pda_stats(pda).storage_load
+        for q_active in valid_qs(pda):
+            assert achieved_load(pda, q_active).l >= optimal_load(pda.k, q_active, r)
 
 
 @settings(max_examples=100, deadline=None)
@@ -267,9 +268,11 @@ def check_file_complexity(pda) -> bool:
 
 
 @settings(max_examples=300, deadline=None)
-@given(comp_pdas())
-def test_on_curve_with_equal_storage_needs_man_file_count(pda):
-    check_file_complexity(pda)
+@given(comp_pdas(), balanced_comp_pdas())
+def test_on_curve_with_equal_storage_needs_man_file_count(greedy, balanced):
+    # the balanced arrays meet the equal-storage premise by construction
+    check_file_complexity(greedy)
+    check_file_complexity(balanced)
 
 
 def test_file_complexity_on_every_small_star_pattern():
