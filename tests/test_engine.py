@@ -296,22 +296,28 @@ def test_workload_iva_depends_on_file_content():
     assert wl.iva(1, 1) != wl.iva(2, 1)
 
 
-def test_job_geometry():
-    geometry = job_geometry(EX1, JobSpec(12, 6, 8, 10, 8, 0), 3)
-    assert geometry == (2, 2 * 2 * 10)
-    assert job_geometry(EX1, JobSpec(6, 3, 8, 120, 8, 0), 3) == (1, 120)
-    # eta = 2 already contributes a factor 2, so any V works for Q = 3
-    assert job_geometry(EX1, JobSpec(12, 3, 8, 7, 8, 0), 3) == (2, 14)
+def test_minimal_valid_v():
+    # the split-rule error of job_geometry names the smallest valid V
     with pytest.raises(DivisibilityError) as err:
         job_geometry(EX1, JobSpec(6, 3, 8, 7, 8, 0), 3)
     assert (err.value.divisor, err.value.value) == (2, 7)
     assert str(err.value) == ("lcm(1..2) = 2 must divide eta*(D/Q)*V = 7 so coded blocks "
                               "split evenly; at or above V = 7, the smallest valid V is 8 "
                               "(--iva-bits 8)")
+    assert job_geometry(EX1, JobSpec(6, 3, 8, 8, 8, 0), 3) == (1, 8)
+    assert job_geometry(EX1, JobSpec(6, 3, 8, 120, 8, 0), 3) == (1, 120)
+    # eta = 2 already contributes a factor 2, so any V works for Q = 3
+    assert job_geometry(EX1, JobSpec(12, 3, 8, 7, 8, 0), 3) == (2, 14)
+    # F | N is checked before the split rule, so N = 7 gets no V suggestion
     with pytest.raises(DivisibilityError) as err:
         job_geometry(EX1, JobSpec(7, 3, 8, 8, 8, 0), 3)
     assert (err.value.divisor, err.value.value) == (6, 7)
     assert str(err.value) == "row count 6 must divide the number of files 7"
+
+
+def test_job_geometry():
+    geometry = job_geometry(EX1, JobSpec(12, 6, 8, 10, 8, 0), 3)
+    assert geometry == (2, 2 * 2 * 10)
     with pytest.raises(DivisibilityError) as err:
         job_geometry(EX1, JobSpec(6, 4, 8, 8, 8, 0), 3)
     assert (err.value.divisor, err.value.value) == (3, 4)
