@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .bits import Bits, block_stream, le64
@@ -227,20 +228,19 @@ def storage_profile(placement: Placement) -> dict[int, int]:
 class ActiveSetPlan:
     """Deterministic shuffle plan for one active set, one entry per symbol.
 
-    ``occurrences`` maps each surviving symbol, ascending, to its positions
-    (0-based row, 1-based node label) inside the active columns. Symbols
-    occurring once go to ``singleton_assignment`` (symbol -> responsible
-    sender, the smallest active node with a star in that row). A symbol
-    occurring g >= 2 times has ``split_labels`` (symbol -> its g occurrence
-    columns, ascending): the block at (i, k) splits into g-1 equal parts,
-    most significant first, labelled by those columns without k, in order.
+    ``occurrences`` maps each surviving symbol, ascending, to its places
+    (0-based row, 1-based node label) inside the active columns, by
+    ascending column. Symbols occurring once go to ``singleton_assignment``
+    (symbol -> responsible sender, the smallest active node with a star in
+    that row). For a symbol occurring g >= 2 times the place order labels
+    the parts: the block at place t splits into g-1 equal parts, most
+    significant first, one for the column of each other place, in order.
     """
 
     active: tuple[int, ...]
     subarray: Pda
     occurrences: dict[int, tuple[tuple[int, int], ...]]
     singleton_assignment: dict[int, int]
-    split_labels: dict[int, tuple[int, ...]]
     reduce_assignment: dict[int, tuple[int, ...]]
 
 
@@ -258,16 +258,15 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
     active_mask = sum(1 << (k - 1) for k in active)
     occurrences: dict[int, tuple[tuple[int, int], ...]] = {}
     singleton_assignment: dict[int, int] = {}
-    split_labels: dict[int, tuple[int, ...]] = {}
     for sym in sorted(pda.occurrences):
-        places = tuple([(i, j + 1) for i, j in pda.occurrences[sym] if active_mask >> j & 1])
-        if places:
-            occurrences[sym] = places
-        if len(places) == 1:
+        places = [(i, j + 1) for i, j in pda.occurrences[sym] if active_mask >> j & 1]
+        if len(places) > 1:
+            places.sort(key=itemgetter(1))
+        elif places:
             senders = pda.row_star_masks[places[0][0]] & active_mask
             singleton_assignment[sym] = (senders & -senders).bit_length()
-        elif places:
-            split_labels[sym] = tuple(sorted([k for _, k in places]))
+        if places:
+            occurrences[sym] = tuple(places)
 
     functions = range(1, job.d_functions + 1)
     reduce_assignment = {
@@ -279,7 +278,6 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
         subarray=subarray,
         occurrences=occurrences,
         singleton_assignment=singleton_assignment,
-        split_labels=split_labels,
         reduce_assignment=reduce_assignment,
     )
 
@@ -316,9 +314,9 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     against the map output, then evaluate their assigned reduce functions.
 
     The report is built in plan order, with no sort: ``signals`` by (sender,
-    symbol) and ``per_symbol_bits`` by symbol, both ascending. The bit
-    tables come from the payload widths: a symbol's g signals of
-    block_bits/(g-1) bits each, or one block for a singleton.
+    symbol) and ``per_symbol_bits`` by symbol, both ascending, each filled
+    as a symbol's signals are made: g signals of block_bits/(g-1) bits, or
+    one block for a singleton.
     """
     wl = workload if workload is not None else Workload(job)
     if wl.job != job:
@@ -345,48 +343,47 @@ def run_transcript(pda: Pda, job: JobSpec, active,
             raise EngineDefectError(f"node {k} lacks batch {min(missing) + 1}, "
                                     f"which the {rule} promises" + where(sym))
 
-    # sender -> [(symbol, payload)]; the plan lists symbols ascending, so
+    # sender -> [(symbol, signal)]; the plan lists symbols ascending, so
     # every sender's list is in symbol order and the report needs no sort
-    sent: dict[int, list[tuple[int, int]]] = {k: [] for k in plan.active}
-    width: dict[int, int] = {}                 # symbol -> payload width
+    sent: dict[int, list[tuple[int, Bits]]] = {k: [] for k in plan.active}
     per_node_bits = dict.fromkeys(plan.active, 0)
+    per_symbol_bits: dict[int, int] = {}
     decoded: dict[tuple[int, int], int] = {}   # (row, node) -> block rebuilt there
     for sym, places in plan.occurrences.items():
         if len(places) == 1:
             (i, j), = places
             sender = plan.singleton_assignment[sym]
             require_stored(sender, [i], "choice of singleton sender", sym)
-            width[sym] = block_bits
             decoded[(i, j)] = value = block(i, j)
-            sent[sender].append((sym, value))
+            sent[sender].append((sym, Bits(value, block_bits)))
             per_node_bits[sender] += block_bits
+            per_symbol_bits[sym] = block_bits
             continue
-        labels = plan.split_labels[sym]
-        g = len(labels)
-        width[sym] = w = block_bits // (g - 1)
+        g = len(places)
+        w = block_bits // (g - 1)
+        per_symbol_bits[sym] = w * g
         low = (1 << w) - 1
-        # Block (i, j) widened by an empty w-bit slot at j's place among the
-        # labels has its part for label L in L's slot, so the XOR of the
-        # widened blocks is the g signals end to end, in label order.
-        tails, widened = [], []
+        # The block at place t widened by an empty w-bit slot t has its part
+        # for the column of place p in slot p, so the XOR of the widened
+        # blocks is the g signals end to end, in place order.
+        widened = []
         stored = -1  # bit j-1 set: node j stores every occurrence's row but its own
-        for i, j in places:
+        for t, (i, j) in enumerate(places):
             stored &= masks[i] | 1 << (j - 1)
-            tail = w * (g - 1 - labels.index(j))
+            tail = w * (g - 1 - t)
             value = block(i, j)
-            tails.append(tail)
             widened.append((value >> tail << tail + w) | (value & (1 << tail) - 1))
         # cross-star rule, checked per row; a failure walks the pairs for the message
-        column_mask = sum(1 << (j - 1) for j in labels)
+        column_mask = sum(1 << (j - 1) for _, j in places)
         if stored & column_mask != column_mask:
             for i, j in places:
                 require_stored(j, [i2 for i2, j2 in places if j2 != j], "cross-star rule", sym)
         joined = 0
         for value in widened:
             joined ^= value
-        for p, label in enumerate(labels):
-            sent[label].append((sym, joined >> w * (g - 1 - p) & low))
-            per_node_bits[label] += w
+        for t, (_, j) in enumerate(places):
+            sent[j].append((sym, Bits(joined >> w * (g - 1 - t) & low, w)))
+            per_node_bits[j] += w
         # node k XORs the signals with every other column's widened block
         # (a prefix and a suffix XOR, never its own block), which leaves its
         # block around an empty slot of its own
@@ -396,7 +393,7 @@ def run_transcript(pda: Pda, job: JobSpec, active,
         prefix = 0
         for t, (i, k) in enumerate(places):
             value = joined ^ prefix ^ suffix[t]
-            tail = tails[t]
+            tail = w * (g - 1 - t)
             decoded[(i, k)] = (value >> tail + w << tail) | (value & (1 << tail) - 1)
             prefix ^= widened[t]
 
@@ -416,7 +413,7 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     for k in plan.active:
         for d in plan.reduce_assignment[k]:
             if None in known[k][d]:
-                n = known[k][d].index(None) + 1
+                n = next(n for n, got in enumerate(known[k][d], 1) if got is None)
                 raise EngineDefectError(
                     f"node {k} neither stores nor decodes file {n}, which function {d} "
                     f"needs" + where(pda.grid[(n - 1) // eta][k - 1]))
@@ -429,11 +426,9 @@ def run_transcript(pda: Pda, job: JobSpec, active,
 
     return TranscriptReport(
         active=plan.active,
-        signals={(k, sym): Bits(value, width[sym])
-                 for k, payloads in sent.items() for sym, value in payloads},
+        signals={(k, sym): signal for k, payloads in sent.items() for sym, signal in payloads},
         per_node_bits=per_node_bits,
-        per_symbol_bits={sym: width[sym] * len(places)
-                         for sym, places in plan.occurrences.items()},
+        per_symbol_bits=per_symbol_bits,
         total_bits=sum(per_node_bits.values()),
         outputs=outputs,
         reference_match=match,

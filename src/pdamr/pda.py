@@ -54,7 +54,7 @@ class Violation:
       "a"         equal symbols share a row or a column
       "b"         the cross positions of an equal-symbol pair are not both stars
       "symbol"    an entry is not a star or a positive integer
-      "coverage"  some label in 1..max(labels) never occurs
+      "coverage"  a run of labels in 1..max(labels) never occurs
       "numbering" first occurrences are not in increasing label order
     """
 
@@ -280,10 +280,12 @@ def validate_pda(grid, require_canonical: bool = True) -> ValidationReport:
         violations += _rule_violations(sym, places[label_of[sym]], masks)
 
     if require_canonical and symbols:
-        for missing in sorted(set(range(1, symbols[-1] + 1)) - set(symbols)):
-            violations.append(Violation(
-                "coverage", (), (),
-                f"symbol {missing} never occurs (labels must cover 1..{symbols[-1]})"))
+        for before, after in zip([0] + symbols, symbols):  # one violation per gap
+            if after - before > 1:
+                gap = (f"symbol {before + 1} never occurs" if after - before == 2 else
+                       f"symbols {before + 1}..{after - 1} never occur")
+                violations.append(Violation(
+                    "coverage", (), (), f"{gap} (labels must cover 1..{symbols[-1]})"))
         for expected, sym in enumerate(label_of, start=1):  # first-occurrence order
             if sym != expected:
                 i, j = places[expected][0]
@@ -306,15 +308,15 @@ def _intake(rows) -> Pda:
     checked by ``_rule_violations``. Rule cost is O(cells + sum of
     multiplicities) unless a rule breaks. Raises PdaValidationError listing
     every violation: any "symbol" ones of the scan, then the rules in label
-    order.
+    order, each naming its symbol as the grid wrote it.
     """
-    _, places, grid, masks, violations = _scan(rows)
+    label_of, places, grid, masks, violations = _scan(rows)
     occurrences: dict[int, tuple[tuple[int, int], ...]] = {}
-    for label in range(1, len(places)):
+    for entry, label in label_of.items():  # labels 1..S in order
         occurrences[label] = found = tuple(places[label])
         places[label] = None  # never hold both copies of every occurrence list
         if len(found) > 1:
-            violations += _rule_violations(label, found, masks)
+            violations += _rule_violations(entry, found, masks)
     if violations:
         raise PdaValidationError(ValidationReport(tuple(violations), None))
     pda = Pda(tuple(grid))

@@ -96,6 +96,16 @@ def test_validate_ok_and_failure(capsys, ex1_path, tmp_path):
     assert payload["results"]["violations"][0]["rule"] == "a"
 
 
+def test_validate_names_the_symbol_as_written(capsys, tmp_path):
+    # the file has no symbol 1: the intake's label 1 is the input's 30
+    bad = tmp_path / "bad.pda"
+    bad.write_text("2 2\n* 30\n30 7\n")
+    code, stdout, _ = run(capsys, "validate", "--pda", bad.as_posix())
+    assert code == 2
+    assert [v["message"] for v in json.loads(stdout)["results"]["violations"]] == [
+        "symbol 30 at (1,2) and (2,1) needs stars at (1,1) and (2,2)"]
+
+
 def test_validate_syntax_error(capsys, tmp_path):
     bad = tmp_path / "bad.pda"
     bad.write_text("1 2\n* %\n")

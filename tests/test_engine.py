@@ -95,10 +95,10 @@ def test_plan_example_active_set():
     assert plan.reduce_assignment == {1: (1,), 2: (2,), 4: (3,)}
     # every symbol survives at least twice here, so none are singletons
     assert plan.singleton_assignment == {}
-    assert {s: len(p) for s, p in plan.occurrences.items()} == {1: 2, 2: 3, 3: 2, 4: 2}
-    # one label tuple per split symbol: its occurrence columns, ascending;
-    # the block at (0, 4) under symbol 2 splits into parts labelled 1 and 2
-    assert plan.split_labels == {1: (1, 2), 2: (1, 2, 4), 3: (1, 4), 4: (2, 4)}
+    # each symbol's places by ascending column, which labels the parts: the
+    # block at (0, 4) under symbol 2 splits into parts labelled 1 and 2
+    labels = {s: tuple(k for _, k in p) for s, p in plan.occurrences.items()}
+    assert labels == {1: (1, 2), 2: (1, 2, 4), 3: (1, 4), 4: (2, 4)}
 
 
 def test_plan_full_active_set_is_identity_subarray():
@@ -374,15 +374,16 @@ def test_cross_star_break_is_an_engine_defect():
 
 
 def test_relabelled_split_plan_still_decodes(monkeypatch):
-    # which label names which part of a block is a free choice that encoder
-    # and decoder share, so a reversed label order is still a correct scheme
+    # which part of a block goes to which column is a free choice that
+    # encoder and decoder share, so a reversed place order is still a
+    # correct scheme
     real = engine.plan_active_set
 
     def relabelled(*args):
         plan = real(*args)
-        sym = next(s for s, labels in plan.split_labels.items() if len(labels) >= 3)
-        split_labels = {**plan.split_labels, sym: plan.split_labels[sym][::-1]}
-        return dataclasses.replace(plan, split_labels=split_labels)
+        sym = next(s for s, places in plan.occurrences.items() if len(places) >= 3)
+        occurrences = {**plan.occurrences, sym: plan.occurrences[sym][::-1]}
+        return dataclasses.replace(plan, occurrences=occurrences)
 
     plain = run_transcript(EX1, TOY, [1, 2, 4])
     monkeypatch.setattr(engine, "plan_active_set", relabelled)
@@ -645,9 +646,8 @@ def test_transcripts_pinned(name):
 
 def reference_plan(pda, active, job):
     """The plan of ``active`` by its definition, scanning the grid: symbols
-    ascending, each with its active cells in row-major order; a singleton
-    is sent by the smallest active node with a star in its row; a split
-    symbol's occurrence columns, ascending, are its labels.
+    ascending, each with its active cells column by column; a singleton is
+    sent by the smallest active node with a star in its row.
     An outage gives the EmptyStarRowError that planning must raise."""
     active = tuple(sorted(active))
     q = len(active)
@@ -655,9 +655,9 @@ def reference_plan(pda, active, job):
         if all(row[k - 1] != STAR for k in active):
             return EmptyStarRowError(i + 1)
     symbols = sorted({entry for row in pda.grid for entry in row if entry != STAR})
-    occurrences, singleton_assignment, split_labels = {}, {}, {}
+    occurrences, singleton_assignment = {}, {}
     for sym in symbols:
-        places = tuple((i, k) for i in range(pda.f) for k in active
+        places = tuple((i, k) for k in active for i in range(pda.f)
                        if pda.grid[i][k - 1] == sym)
         if not places:
             continue
@@ -665,14 +665,11 @@ def reference_plan(pda, active, job):
         if len(places) == 1:
             (i, _), = places
             singleton_assignment[sym] = next(k for k in active if pda.grid[i][k - 1] == STAR)
-        else:
-            split_labels[sym] = tuple(sorted(k for _, k in places))
     return engine.ActiveSetPlan(
         active=active,
         subarray=Pda(tuple(tuple(row[k - 1] for k in active) for row in pda.grid)),
         occurrences=occurrences,
         singleton_assignment=singleton_assignment,
-        split_labels=split_labels,
         reduce_assignment={k: tuple(d for d in range(1, job.d_functions + 1)
                                     if (d - 1) % q == p) for p, k in enumerate(active)},
     )
@@ -702,6 +699,8 @@ def test_plan_matches_grid_scan(pda):
                 assert err.value.row == want.row
                 continue
             plan = plan_active_set(pda, active, job)
+            for places in plan.occurrences.values():
+                assert [k for _, k in places] == sorted({k for _, k in places})
             for field in dataclasses.fields(plan):
                 got, expected = getattr(plan, field.name), getattr(want, field.name)
                 assert got == expected, field.name
@@ -717,7 +716,7 @@ def test_plan_holds_one_entry_per_symbol():
     for name, table in tables:
         if isinstance(table, dict):
             assert len(table) <= pda.s, name
-    assert plan.split_labels[1] == tuple(k for k in range(1, 10) if k in active)
+    assert [k for _, k in plan.occurrences[1]] == [k for k in range(1, 10) if k in active]
 
 
 # greedy Comp-PDA on 8 star masks drawn by random.Random(5): singletons and

@@ -217,17 +217,18 @@ def test_random_comp_pda_obeys_converse(greedy, balanced):
 
 
 @settings(max_examples=100, deadline=None)
-@given(comp_pdas())
-def test_random_comp_pda_three_witnesses_agree(pda):
+@given(comp_pdas(), balanced_comp_pdas())
+def test_random_comp_pda_three_witnesses_agree(greedy, balanced):
     # closed form, per-symbol enumeration and the exhaustive transcripts;
     # D = Q and V = lcm(1..Q-1) make every coded block split evenly
-    for q_active in valid_qs(pda):
-        load = achieved_load(pda, q_active).l
-        assert load == brute_force_load(pda, q_active)
-        job = JobSpec(pda.f, q_active, 8, math.lcm(*range(1, q_active)), 8, seed=q_active)
-        report = measure_loads(pda, job, q_active)
-        assert report.l_measured == load
-        assert report.match and report.all_reference_match
+    for pda in (greedy, balanced):
+        for q_active in valid_qs(pda):
+            load = achieved_load(pda, q_active).l
+            assert load == brute_force_load(pda, q_active)
+            job = JobSpec(pda.f, q_active, 8, math.lcm(*range(1, q_active)), 8, seed=q_active)
+            report = measure_loads(pda, job, q_active)
+            assert report.l_measured == load
+            assert report.match and report.all_reference_match
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 3)])

@@ -1,5 +1,6 @@
 """Parsing, validation, statistics, and column restriction of PDAs."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,21 @@ def test_validate_canonical_rules():
     assert rules == {"coverage", "numbering"}
     report = validate_pda(((1, STAR), (STAR, 3)))
     assert {v.rule for v in report.violations} == {"coverage", "numbering"}
+
+
+def test_validate_reports_each_coverage_gap_once():
+    report = validate_pda(((1, 5, 7),))
+    assert [v.message for v in report.violations if v.rule == "coverage"] == [
+        "symbols 2..4 never occur (labels must cover 1..7)",
+        "symbol 6 never occurs (labels must cover 1..7)"]
+    # the work follows the cells, not the largest label
+    start = time.perf_counter()
+    report = validate_pda([[STAR, 10**9]])
+    assert time.perf_counter() - start < 1
+    assert [(v.rule, v.message) for v in report.violations] == [
+        ("coverage", "symbols 1..999999999 never occur (labels must cover 1..1000000000)"),
+        ("numbering", "symbol 1000000000 first occurs at (1,2) out of first-occurrence "
+                      "order (expected 1)")]
 
 
 def test_validate_reports_bad_symbols():
