@@ -23,9 +23,7 @@ from .engine import (
     job_geometry,
     measure_loads,
     plan_active_set,
-    reference_oracle,
     run_transcript,
-    storage_profile,
 )
 from .loads import (
     BETA_BOUND,
@@ -75,7 +73,7 @@ __all__ = [
     "full_star_pda", "fnv1a64", "job_geometry", "le64", "man_pda",
     "measure_loads", "optimal_file_complexity",
     "optimal_load", "p1_pda", "p2_pda", "parse_pda", "pda_stats",
-    "plan_active_set", "prop1_check", "reference_oracle", "render_pda",
-    "run_transcript", "stack_pda", "storage_profile", "tradeoff_curve", "u_value",
+    "plan_active_set", "prop1_check", "render_pda",
+    "run_transcript", "stack_pda", "tradeoff_curve", "u_value",
     "validate_pda", "z_value",
 ]

@@ -8,9 +8,11 @@ load disagrees with the closed form, a reduced output disagrees with the
 reference, or an internal defect (``EngineDefectError`` or any other
 exception; a defect, never a warning).
 
-All reports are deterministic: rationals are rendered as lowest-terms "p/q"
-strings with 15-significant-digit decimals, JSON output is byte-stable for
-identical inputs, and CSV uses '.' decimals with a header row.
+All reports are deterministic: one encoder, ``emit_json``, renders every
+rational as a lowest-terms "p/q" string with a 15-significant-digit decimal,
+JSON output is byte-stable for identical inputs, and CSV uses '.' decimals
+with a header row. Library records are printed as they are, through
+``dataclasses.asdict``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -84,7 +87,9 @@ def emit(text: str, out_path: str | None) -> None:
 
 
 def emit_json(payload: dict, out_path: str | None) -> None:
-    emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
+    """Write ``payload`` as sorted, indented JSON; every Fraction in it is
+    rendered by ``rat``, and any other non-JSON value raises TypeError."""
+    emit(json.dumps(payload, indent=2, sort_keys=True, default=rat) + "\n", out_path)
 
 
 def read_pda(path: str):
@@ -100,9 +105,10 @@ def stats_results(pda) -> dict:
         "tau": stats.tau,
         "is_comp": stats.is_comp,
         "regular_g": stats.regular_g,
-        "storage_load": rat(stats.storage_load),
+        "storage_load": stats.storage_load,
+        # str keys here, so sort_keys orders them as strings ("10" before "2")
         "symbol_counts": {str(t_): n for t_, n in stats.s_t.items()},
-        "symbol_frequencies": {str(t_): rat(v) for t_, v in stats.theta.items()},
+        "symbol_frequencies": {str(t_): v for t_, v in stats.theta.items()},
     }
 
 
@@ -122,13 +128,7 @@ def cmd_validate(args) -> int:
         pda = read_pda(args.pda)
     except PdaValidationError as exc:
         payload = envelope("validate", {"pda": args.pda}, {
-            "ok": False,
-            "violations": [
-                {"rule": v.rule, "rows": list(v.rows), "cols": list(v.cols),
-                 "message": v.message}
-                for v in exc.report.violations
-            ],
-        })
+            "ok": False, "violations": [asdict(v) for v in exc.report.violations]})
         emit_json(payload, args.out)
         return EXIT_VALIDATION
     payload = envelope("validate", {"pda": args.pda},
@@ -165,9 +165,9 @@ def cmd_analyze(args) -> int:
     results = {
         **stats_results(pda),
         "q_active": args.q,
-        "achieved": {"r": rat(pair.r), "l": rat(pair.l)},
-        "optimal_l": rat(optimal),
-        "gap_ratio": rat(gap) if gap is not None else None,
+        "achieved": asdict(pair),
+        "optimal_l": optimal,
+        "gap_ratio": gap,
         "file_complexity": pda.f,
         "optimal_file_complexity": f_optimal,
     }
@@ -198,7 +198,7 @@ def cmd_tradeoff(args) -> int:
         payload = envelope(
             "tradeoff",
             {"k": args.k, "q": "all" if args.all_q else args.q},
-            {"points": [{"q": q, "r": r, "l": rat(l_star)} for q, r, l_star in rows]},
+            {"points": [{"q": q, "r": r, "l": l_star} for q, r, l_star in rows]},
         )
         emit_json(payload, args.out)
     return EXIT_OK
@@ -215,28 +215,20 @@ def cmd_simulate(args) -> int:
     report = measure_loads(pda, job, args.q, samples=args.samples,
                            seed=args.sample_seed)
     results = {
-        "mode": report.mode,
-        "q_active": args.q,
+        **asdict(report),
+        "per_active_set": [{"active": active, "total_bits": bits}
+                           for active, bits in report.per_active_set],
         "functions_requested": args.functions,
         "functions_used": d_used,
-        "r_measured": rat(report.r_measured),
-        "l_measured": rat(report.l_measured),
-        "closed_form": {"r": rat(report.closed_form.r), "l": rat(report.closed_form.l)},
-        "match": report.match,
-        "all_reference_match": report.all_reference_match,
-        "per_active_set": [
-            {"active": list(active), "total_bits": bits}
-            for active, bits in report.per_active_set
-        ],
     }
     if d_used != args.functions:
         # load normalized by the unpadded function count, for comparison
-        raw = report.l_measured * d_used / args.functions
-        results["l_measured_raw_functions"] = rat(raw)
+        results["l_measured_raw_functions"] = report.l_measured * d_used / args.functions
     emit_json(envelope("simulate", {
         "pda": args.pda, "q": args.q, "files": args.files,
-        "functions": args.functions, "iva_bits": args.iva_bits, "seed": args.seed,
-        "samples": args.samples,
+        "functions": args.functions, "file_bits": args.file_bits,
+        "iva_bits": args.iva_bits, "output_bits": args.output_bits, "seed": args.seed,
+        "samples": args.samples, "sample_seed": args.sample_seed,
     }, results), args.out)
 
     if not report.all_reference_match:
@@ -247,24 +239,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_prop1(args) -> int:
-    rep = prop1_check(args.k, args.r, args.q_active)
-    results = {
-        "family": rep.family,
-        "q": rep.q,
-        "c": rat(rep.c),
-        "l_achieved": rat(rep.l_achieved),
-        "l_optimal": rat(rep.l_optimal),
-        "l_ratio": rat(rep.l_ratio),
-        "alpha": rat(rep.alpha),
-        "alpha_in_range": rep.alpha_in_range,
-        "f_construction": rep.f_construction,
-        "f_optimal": rep.f_optimal,
-        "f_ratio": rat(rep.f_ratio),
-        "a_q": f"{rep.a_q:.15g}",
-        "b_q": f"{rep.b_q:.15g}",
-        "beta": f"{rep.beta:.15g}",
-        "beta_in_range": rep.beta_in_range,
-    }
+    rep = asdict(prop1_check(args.k, args.r, args.q_active))
+    # K, r and Q are echoed under inputs; the irrational constants are floats
+    results = {name: f"{value:.15g}" if isinstance(value, float) else value
+               for name, value in rep.items() if name not in ("k_nodes", "r", "q_active")}
     emit_json(envelope("prop1", {"k": args.k, "r": args.r, "q_active": args.q_active},
                        results), args.out)
     return EXIT_OK

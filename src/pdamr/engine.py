@@ -182,12 +182,6 @@ class Workload:
         return self._reference
 
 
-def reference_oracle(job: JobSpec) -> dict[int, Bits]:
-    """Ground-truth outputs of all D functions, computed without any placement
-    or shuffling. Transcript verification compares against this."""
-    return Workload(job).reference()
-
-
 @dataclass(frozen=True)
 class Placement:
     """Which batches (hence files) each node stores, from the stars of the
@@ -210,18 +204,6 @@ def build_placement(pda: Pda, job: JobSpec) -> Placement:
         for k in range(1, pda.k + 1)
     }
     return Placement(eta=eta, node_files=node_files)
-
-
-def storage_profile(placement: Placement) -> dict[int, int]:
-    """How many files are stored at exactly u nodes, for each occurring u."""
-    copies: dict[int, int] = {}
-    for files in placement.node_files.values():
-        for n in files:
-            copies[n] = copies.get(n, 0) + 1
-    profile: dict[int, int] = {}
-    for count in copies.values():
-        profile[count] = profile.get(count, 0) + 1
-    return dict(sorted(profile.items()))
 
 
 @dataclass(frozen=True)

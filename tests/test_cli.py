@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import pdamr
 from pdamr import (
     ArrayTooLargeError,
+    Bits,
     DivisibilityError,
     EmptyStarRowError,
     InsufficientTauError,
@@ -434,6 +436,17 @@ def test_tradeoff_budget_refuses_before_any_work(capsys):
                       "terms, above the limit of 1000000\n")
 
 
+def test_tradeoff_budget_weighs_terms_by_their_bits(capsys):
+    # 499,500 terms, under the term limit, but each near 8,000 bits wide
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "tradeoff", "--k", "100000", "--q", "1000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and stdout == ""
+    assert stderr == ("error: the tradeoff of K = 100000 for Q = 1000 weighs an estimated "
+                      "4.04e+09 term-bits (exact terms x the bit length of C(K-1,Q-1)), "
+                      "above the limit of 200000000\n")
+
+
 def test_simulate_budget_refuses_before_any_work(capsys, tmp_path):
     path = tmp_path / "man14_7.pda"
     path.write_text(render_pda(man_pda(14, 7)))
@@ -584,3 +597,36 @@ def test_cli_fuzz_exits_cleanly(fuzz_paths, data):
     assert time.perf_counter() - start < 1.0, argv
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_emit_json_renders_every_fraction_and_nothing_else(capsys):
+    payload = {"a": [Fraction(1, 3), {"b": Fraction(4), "c": [Fraction(-5, 10)]}],
+               "d": 2, "e": "x", "f": None, "g": True}
+    cli.emit_json(payload, None)
+    assert json.loads(capsys.readouterr().out) == {
+        "a": [cli.rat(Fraction(1, 3)), {"b": cli.rat(4), "c": [cli.rat(Fraction(-1, 2))]}],
+        "d": 2, "e": "x", "f": None, "g": True}
+    for bad in ({1, 2}, Bits(5, 3)):
+        with pytest.raises(TypeError):
+            cli.emit_json({"a": [{"b": bad}]}, None)
+    assert capsys.readouterr().out == ""
+
+
+def test_simulate_echoes_every_input(capsys, ex1_path):
+    def report(*extra):
+        code, stdout, _ = run(capsys, "simulate", "--pda", ex1_path, "--q", "3", "--files", "6",
+                              "--functions", "3", "--iva-bits", "120", *extra)
+        assert code == 0
+        return json.loads(stdout)
+
+    plain = report()
+    assert plain["inputs"] == {
+        "pda": ex1_path, "q": 3, "files": 6, "functions": 3, "file_bits": 64,
+        "iva_bits": 120, "output_bits": 64, "seed": 0, "samples": None, "sample_seed": 0}
+    # loads depend on none of these, so only the echoed inputs tell the runs apart
+    for flag, key, value in (("--file-bits", "file_bits", 128),
+                             ("--output-bits", "output_bits", 32),
+                             ("--sample-seed", "sample_seed", 5)):
+        changed = report(flag, str(value))
+        assert changed["inputs"] == {**plain["inputs"], key: value}
+        assert changed["results"] == plain["results"]

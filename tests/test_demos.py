@@ -1,13 +1,16 @@
-"""Every demo script and every README python block runs to completion
-against the package sources."""
+"""Every demo script, every README python block and every command of the
+README's CLI tour runs to completion against the package sources."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from pdamr import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -35,3 +38,14 @@ def test_readme_python_blocks_run():
         proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
                               env=env, cwd=ROOT, timeout=120)
         assert proc.returncode == 0, block + proc.stderr
+
+
+def test_readme_cli_tour_runs(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    tour = re.search(r"^## CLI tour\n\n```sh\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    commands = [shlex.split(line)[1:] for line in tour.group(1).splitlines()
+                if line.startswith("pdamr ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)  # the tour writes its .pda files to the working directory
+    for argv in commands:
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)

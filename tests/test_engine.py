@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,14 +36,17 @@ from pdamr import (
     p2_pda,
     pda_stats,
     plan_active_set,
-    reference_oracle,
     run_transcript,
     stack_pda,
-    storage_profile,
 )
 
 EX1 = man_pda(4, 2)
 TOY = JobSpec(n_files=6, d_functions=3, w_bits=64, v_bits=120, u_bits=64, seed=7)
+
+
+def stored_copies(placement):
+    """How many nodes store each file."""
+    return Counter(n for files in placement.node_files.values() for n in files)
 
 
 def test_jobspec_validation():
@@ -72,8 +76,7 @@ def test_placement_batched():
     placement = build_placement(EX1, JobSpec(12, 3, 8, 8, 8, 0))
     assert placement.eta == 2
     assert placement.node_files[1] == (1, 2, 3, 4, 5, 6)
-    profile = storage_profile(placement)
-    assert profile == {2: 12}
+    assert stored_copies(placement) == dict.fromkeys(range(1, 13), 2)
 
 
 def test_placement_divisibility():
@@ -85,8 +88,8 @@ def test_storage_profile_families():
     for pda, expected_copies in ((man_pda(4, 2), 2), (p2_pda(2, 2), 2),
                                  (full_star_pda(3, 2), 3)):
         job = JobSpec(pda.f * 2, 2, 8, 8, 8, 0)
-        profile = storage_profile(build_placement(pda, job))
-        assert profile == {expected_copies: job.n_files}
+        copies = stored_copies(build_placement(pda, job))
+        assert copies == dict.fromkeys(range(1, job.n_files + 1), expected_copies)
 
 
 def test_plan_example_active_set():
@@ -247,18 +250,18 @@ def test_optimal_scheme_stores_uniformly():
         q_active = pda.k - stats.tau + 1
         if achieved_load(pda, q_active).l == optimal_load(pda.k, q_active, r):
             job = JobSpec(pda.f, q_active, 8, 8, 8, 0)
-            profile = storage_profile(build_placement(pda, job))
-            assert profile == {int(r): job.n_files}
+            copies = stored_copies(build_placement(pda, job))
+            assert copies == dict.fromkeys(range(1, job.n_files + 1), int(r))
 
 
 def test_reference_oracle():
     tiny = JobSpec(1, 1, 16, 16, 16, 3)
-    outputs = reference_oracle(tiny)
+    outputs = Workload(tiny).reference()
     wl = Workload(tiny)
     assert outputs == {1: wl.reduce_output(1, [wl.iva(1, 1)])}
-    assert reference_oracle(tiny) == reference_oracle(JobSpec(1, 1, 16, 16, 16, 3))
+    assert outputs == Workload(JobSpec(1, 1, 16, 16, 16, 3)).reference()
     # different seeds give different files, hence different outputs
-    assert reference_oracle(tiny) != reference_oracle(JobSpec(1, 1, 16, 16, 16, 4))
+    assert outputs != Workload(JobSpec(1, 1, 16, 16, 16, 4)).reference()
 
 
 # sha256 of the concatenated ``to_bytes()`` of every reference output, d
@@ -272,7 +275,7 @@ PINNED_REFERENCE = {
 
 @pytest.mark.parametrize("n_files", list(PINNED_REFERENCE))
 def test_reference_oracle_pinned_digest(n_files):
-    outputs = reference_oracle(JobSpec(n_files, 3, 64, 60, 64, seed=7))
+    outputs = Workload(JobSpec(n_files, 3, 64, 60, 64, seed=7)).reference()
     assert list(outputs) == [1, 2, 3]
     digest = hashlib.sha256(b"".join(out.to_bytes() for out in outputs.values()))
     assert digest.hexdigest() == PINNED_REFERENCE[n_files]

@@ -36,7 +36,13 @@ from pdamr import (
     u_value,
     z_value,
 )
-from pdamr.loads import MAX_TRADEOFF_TERMS, tradeoff_terms
+from pdamr.loads import (
+    MAX_TRADEOFF_TERM_BITS,
+    MAX_TRADEOFF_TERMS,
+    _binomial_bits,
+    check_tradeoff_budget,
+    tradeoff_terms,
+)
 
 
 def test_comb_zero_convention():
@@ -362,3 +368,18 @@ def test_tradeoff_terms_count_every_summed_term():
 def test_tradeoff_curve_refuses_over_budget():
     with pytest.raises(ParameterError, match="sums 1249975000 exact terms, above the limit"):
         tradeoff_curve(100000, 50000)
+
+
+def test_tradeoff_budget_weighs_terms_by_their_bits():
+    for n in range(0, 60):
+        for k in range(0, n + 1):
+            assert _binomial_bits(n, k) >= math.log2(comb(n, k)) - 1e-9, (n, k)
+    # every curve of K = 40 and of K = 200 runs; a huge K at Q = 2 sums one term
+    check_tradeoff_budget(40)
+    check_tradeoff_budget(200)
+    check_tradeoff_budget(10**400, 2)
+    check_tradeoff_budget(100000, 300)
+    with pytest.raises(ParameterError, match=f"above the limit of {MAX_TRADEOFF_TERM_BITS}"):
+        check_tradeoff_budget(100000, 400)
+    with pytest.raises(ParameterError, match="estimated 4.04e[+]09 term-bits"):
+        tradeoff_curve(100000, 1000)
