@@ -11,8 +11,12 @@ of an FNV-1a block stream keyed by (function, file), and each reduce output
 hashes its function's intermediate values packed end to end. Nothing in
 the shuffle or reduce path exploits any structure of these functions.
 
-Every value is a plain int of known width from map to reduce; ``Bits``
-objects appear only in the signals and outputs a transcript returns.
+Every value is a plain int of known width from map to reduce. A job's map
+outputs live in per-function columns (N values each) and each function
+tuple's coded blocks are packed from them, both once per job in its
+``Workload``; a transcript only reads these tables and XORs plain ints. The
+reduce outputs are ``Bits``, and a transcript's ``Bits`` per signal are made
+only when its ``signals`` is read.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter
+from operator import itemgetter, xor
 from typing import NamedTuple
 
 from .bits import Bits, block_stream, le64
@@ -121,17 +126,22 @@ def hashed_bytes(job: JobSpec) -> int:
 
 
 class Workload:
-    """Lazy cache of files, intermediate values, and reference outputs for a job.
+    """Lazy cache of files, map outputs, coded blocks and reference outputs
+    for a job.
 
-    Files are packed bytes, intermediate values V-bit ints, and reduce outputs
-    ``Bits``. One instance can be shared across the transcripts of many active
-    sets; everything it produces is a pure function of the job.
+    Files are packed bytes and reduce outputs ``Bits``. The map outputs are
+    held as columns: one list of N V-bit ints per function, computed once
+    per job, from which each function tuple's coded blocks are packed once
+    per batch size. One instance can be shared across the transcripts of
+    many active sets and arrays; everything it produces is a pure function of
+    the job.
     """
 
     def __init__(self, job: JobSpec):
         self.job = job
         self._files: dict[int, bytes] = {}
-        self._ivas: dict[tuple[int, int], int] = {}
+        self._columns: dict[int, list[int]] = {}
+        self._blocks: dict[tuple[tuple[int, ...], int], list[int]] = {}
         self._reduced: dict[tuple[int, tuple[int, ...]], Bits] = {}
         self._reference: dict[int, Bits] | None = None
 
@@ -144,12 +154,34 @@ class Workload:
 
     def iva(self, d: int, n: int) -> int:
         """Intermediate value of function d on file n: first V bits of the
-        block stream keyed by LE64(d) || LE64(n) over the file bytes."""
-        key = (d, n)
-        if key not in self._ivas:
-            self._ivas[key] = block_stream(
-                le64(d) + le64(n), self.file(n), self.job.v_bits).value
-        return self._ivas[key]
+        block stream keyed by LE64(d) || LE64(n) over the file bytes.
+        Not cached; ``column`` calls it once per (d, n) and job."""
+        return block_stream(le64(d) + le64(n), self.file(n), self.job.v_bits).value
+
+    def column(self, d: int) -> list[int]:
+        """The N intermediate values of function d, file n at index n-1."""
+        if d not in self._columns:
+            self._columns[d] = [self.iva(d, n) for n in range(1, self.job.n_files + 1)]
+        return self._columns[d]
+
+    def blocks(self, functions: tuple[int, ...], eta: int) -> list[int]:
+        """The coded blocks of ``functions`` over batches of ``eta`` files
+        (eta divides N): block i packs the values of batch i (0-based),
+        function-major, MSB first, as the node reducing ``functions`` sends
+        and decodes it."""
+        key = (functions, eta)
+        if key not in self._blocks:
+            v = self.job.v_bits
+            columns = [self.column(d) for d in functions]
+            packed = []
+            for start in range(0, self.job.n_files, eta):
+                value = 0
+                for column in columns:
+                    for x in column[start:start + eta]:
+                        value = value << v | x
+                packed.append(value)
+            self._blocks[key] = packed
+        return self._blocks[key]
 
     def reduce_output(self, d: int, values: list[int]) -> Bits:
         """Reduce function d: first U bits of the block stream keyed by LE64(d)
@@ -174,11 +206,8 @@ class Workload:
     def reference(self) -> dict[int, Bits]:
         """Every output computed directly from all files, ignoring placement."""
         if self._reference is None:
-            self._reference = {
-                d: self.reduce_output(
-                    d, [self.iva(d, n) for n in range(1, self.job.n_files + 1)])
-                for d in range(1, self.job.d_functions + 1)
-            }
+            self._reference = {d: self.reduce_output(d, self.column(d))
+                               for d in range(1, self.job.d_functions + 1)}
         return self._reference
 
 
@@ -268,26 +297,43 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
 class TranscriptReport:
     """One full map/shuffle/reduce run for one active set.
 
-    ``signals`` holds the multicast payloads keyed by (sender, symbol);
-    ``outputs`` the reduced outputs per active node; ``reference_match``
-    whether every decoded intermediate value equals the map output and every
-    output equals the placement-free reference evaluation.
+    ``coded`` holds one coded word per symbol, ascending: (symbol, sender
+    columns, joined word, part width). A singleton's word is its block with
+    its one sender; a symbol seen g >= 2 times joins its g signals end to
+    end, in sender order. ``signals`` cuts them into the multicast payloads
+    keyed by (sender, symbol); ``outputs`` holds the reduced outputs per
+    active node; ``reference_match`` whether every decoded intermediate
+    value equals the map output and every output equals the placement-free
+    reference evaluation.
     """
 
     active: tuple[int, ...]
-    signals: dict[tuple[int, int], Bits]
+    coded: tuple[tuple[int, tuple[int, ...], int, int], ...]
     per_node_bits: dict[int, int]
     per_symbol_bits: dict[int, int]
     total_bits: int
     outputs: dict[int, dict[int, Bits]]
     reference_match: bool
 
+    @cached_property
+    def signals(self) -> dict[tuple[int, int], Bits]:
+        """Each signal as ``Bits``, keyed by (sender, symbol) ascending;
+        built on first read only (cached_property writes the instance
+        ``__dict__``, which a frozen dataclass allows)."""
+        sent: dict[int, list[tuple[int, Bits]]] = {k: [] for k in self.active}
+        for sym, senders, joined, w in self.coded:
+            low = (1 << w) - 1
+            for t, k in enumerate(senders, 1):
+                sent[k].append((sym, Bits(joined >> w * (len(senders) - t) & low, w)))
+        return {(k, sym): signal for k, payloads in sent.items() for sym, signal in payloads}
+
 
 def run_transcript(pda: Pda, job: JobSpec, active,
                    workload: Workload | None = None) -> TranscriptReport:
     """Execute the scheme for one active set and verify the reduced outputs.
 
-    Map: every node computes all intermediate values of its stored batches.
+    Map: every node computes all intermediate values of its stored batches
+    (the workload's columns and coded blocks, computed once per job).
     Shuffle: singleton symbols are sent uncoded by their responsible node;
     each block under a g >= 2 symbol is split into g-1 labeled parts and each
     occurrence column XORs the parts labeled with it across the other
@@ -295,10 +341,10 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     from the signals plus locally computed parts, check every rebuilt value
     against the map output, then evaluate their assigned reduce functions.
 
-    The report is built in plan order, with no sort: ``signals`` by (sender,
-    symbol) and ``per_symbol_bits`` by symbol, both ascending, each filled
-    as a symbol's signals are made: g signals of block_bits/(g-1) bits, or
-    one block for a singleton.
+    The report is built in plan order, with no sort: ``coded`` and
+    ``per_symbol_bits`` by symbol, ascending, each filled as a symbol's
+    signals are made: g signals of block_bits/(g-1) bits, or one block for a
+    singleton.
     """
     wl = workload if workload is not None else Workload(job)
     if wl.job != job:
@@ -306,15 +352,8 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     plan = plan_active_set(pda, active, job)
     eta, block_bits = job_geometry(pda, job, len(plan.active))
     v = job.v_bits
-    iva = wl.iva
     masks = pda.row_star_masks
-
-    def block(i: int, j: int) -> int:  # node j's values of batch i, function-major
-        value = 0
-        for d in plan.reduce_assignment[j]:
-            for n in batch_files(i, eta):
-                value = value << v | iva(d, n)
-        return value
+    blocks = {j: wl.blocks(plan.reduce_assignment[j], eta) for j in plan.active}
 
     def where(sym: int) -> str:
         return f" (active set {plan.active}, symbol {sym})"
@@ -325,9 +364,7 @@ def run_transcript(pda: Pda, job: JobSpec, active,
             raise EngineDefectError(f"node {k} lacks batch {min(missing) + 1}, "
                                     f"which the {rule} promises" + where(sym))
 
-    # sender -> [(symbol, signal)]; the plan lists symbols ascending, so
-    # every sender's list is in symbol order and the report needs no sort
-    sent: dict[int, list[tuple[int, Bits]]] = {k: [] for k in plan.active}
+    coded = []
     per_node_bits = dict.fromkeys(plan.active, 0)
     per_symbol_bits: dict[int, int] = {}
     decoded: dict[tuple[int, int], int] = {}   # (row, node) -> block rebuilt there
@@ -336,36 +373,35 @@ def run_transcript(pda: Pda, job: JobSpec, active,
             (i, j), = places
             sender = plan.singleton_assignment[sym]
             require_stored(sender, [i], "choice of singleton sender", sym)
-            decoded[(i, j)] = value = block(i, j)
-            sent[sender].append((sym, Bits(value, block_bits)))
+            decoded[(i, j)] = value = blocks[j][i]
+            coded.append((sym, (sender,), value, block_bits))
             per_node_bits[sender] += block_bits
             per_symbol_bits[sym] = block_bits
             continue
         g = len(places)
         w = block_bits // (g - 1)
         per_symbol_bits[sym] = w * g
-        low = (1 << w) - 1
         # The block at place t widened by an empty w-bit slot t has its part
         # for the column of place p in slot p, so the XOR of the widened
         # blocks is the g signals end to end, in place order.
         widened = []
         stored = -1  # bit j-1 set: node j stores every occurrence's row but its own
-        for t, (i, j) in enumerate(places):
-            stored &= masks[i] | 1 << (j - 1)
-            tail = w * (g - 1 - t)
-            value = block(i, j)
+        column_mask = 0
+        tail = w * g
+        for i, j in places:
+            bit = 1 << (j - 1)
+            stored &= masks[i] | bit
+            column_mask |= bit
+            per_node_bits[j] += w
+            tail -= w
+            value = blocks[j][i]
             widened.append((value >> tail << tail + w) | (value & (1 << tail) - 1))
         # cross-star rule, checked per row; a failure walks the pairs for the message
-        column_mask = sum(1 << (j - 1) for _, j in places)
         if stored & column_mask != column_mask:
             for i, j in places:
                 require_stored(j, [i2 for i2, j2 in places if j2 != j], "cross-star rule", sym)
-        joined = 0
-        for value in widened:
-            joined ^= value
-        for t, (_, j) in enumerate(places):
-            sent[j].append((sym, Bits(joined >> w * (g - 1 - t) & low, w)))
-            per_node_bits[j] += w
+        joined = reduce(xor, widened)
+        coded.append((sym, tuple([j for _, j in places]), joined, w))
         # node k XORs the signals with every other column's widened block
         # (a prefix and a suffix XOR, never its own block), which leaves its
         # block around an empty slot of its own
@@ -373,33 +409,45 @@ def run_transcript(pda: Pda, job: JobSpec, active,
         for t in range(g - 1, 0, -1):
             suffix[t - 1] = suffix[t] ^ widened[t]
         prefix = 0
+        tail = w * g
         for t, (i, k) in enumerate(places):
             value = joined ^ prefix ^ suffix[t]
-            tail = w * (g - 1 - t)
+            tail -= w
             decoded[(i, k)] = (value >> tail + w << tail) | (value & (1 << tail) - 1)
             prefix ^= widened[t]
 
-    # node -> function -> value of file n at n-1, mapped if stored, else decoded
-    known = {k: {d: [iva(d, n) if masks[(n - 1) // eta] >> (k - 1) & 1 else None
-                     for n in range(1, job.n_files + 1)]
-                 for d in plan.reduce_assignment[k]}
+    # node -> function -> reduce input: a copy of the column, where each
+    # decoded block overwrites the files it carries once each value is
+    # checked against the column. slots[k]: per value of node k's blocks,
+    # function-major, its column, input, file offset in the batch and shift
+    known = {k: {d: wl.column(d).copy() for d in plan.reduce_assignment[k]}
              for k in plan.active}
+    slots = {k: [(wl.column(d), known[k][d], e, block_bits - v * (p * eta + e + 1))
+                 for p, d in enumerate(plan.reduce_assignment[k]) for e in range(eta)]
+             for k in plan.active}
+    low = (1 << v) - 1
     values_match = True
+    covered = 0  # distinct (row, node) pairs decoded where the node lacks the row
     for (i, k), value in decoded.items():
-        shift = block_bits
-        for d in plan.reduce_assignment[k]:
-            for n in batch_files(i, eta):
-                shift -= v
-                known[k][d][n - 1] = got = value >> shift & ((1 << v) - 1)
-                values_match &= got == iva(d, n)
-    for k in plan.active:
-        for d in plan.reduce_assignment[k]:
-            if None in known[k][d]:
-                n = next(n for n, got in enumerate(known[k][d], 1) if got is None)
-                raise EngineDefectError(
-                    f"node {k} neither stores nor decodes file {n}, which function {d} "
-                    f"needs" + where(pda.grid[(n - 1) // eta][k - 1]))
-    outputs = {k: {d: wl.reduce_output(d, known[k][d]) for d in plan.reduce_assignment[k]}
+        covered += not masks[i] >> (k - 1) & 1
+        first = i * eta
+        for column, values, e, shift in slots[k]:
+            n = first + e
+            values[n] = got = value >> shift & low
+            values_match &= got == column[n]
+    # every active node must store or decode each of the F rows. A node's
+    # stored rows plus the distinct rows it decodes and lacks number at most
+    # F, so their sum over the nodes is F*Q only if no node leaves a row out;
+    # a failure walks the rows for the first node and file left out
+    active_mask = sum(1 << (k - 1) for k in plan.active)
+    stars = sum((mask & active_mask).bit_count() for mask in masks)
+    if covered + stars != pda.f * len(plan.active):
+        k, i = next((k, i) for k in plan.active for i in range(pda.f)
+                    if not masks[i] >> (k - 1) & 1 and (i, k) not in decoded)
+        raise EngineDefectError(
+            f"node {k} neither stores nor decodes file {i * eta + 1}, which function "
+            f"{plan.reduce_assignment[k][0]} needs" + where(pda.grid[i][k - 1]))
+    outputs = {k: {d: wl.reduce_output(d, values) for d, values in known[k].items()}
                for k in plan.active}
 
     reference = wl.reference()
@@ -408,7 +456,7 @@ def run_transcript(pda: Pda, job: JobSpec, active,
 
     return TranscriptReport(
         active=plan.active,
-        signals={(k, sym): signal for k, payloads in sent.items() for sym, signal in payloads},
+        coded=tuple(coded),
         per_node_bits=per_node_bits,
         per_symbol_bits=per_symbol_bits,
         total_bits=sum(per_node_bits.values()),

@@ -22,10 +22,14 @@ from .pda import ParameterError, Pda, pda_stats
 BETA_BOUND = math.sqrt(2 * math.pi) * math.e ** 2  # upper range for beta, ~18.48
 # Fraction terms a tradeoff request may sum; every Q of K = 200 sums 671,650
 MAX_TRADEOFF_TERMS = 1_000_000
-# Terms x the bit length of C(K-1,Q-1), which bounds every term of the curve.
-# On a 2-vCPU Xeon every Q of K = 200 weighs 1.25e8 (3.6 s), (K, Q) =
-# (100000, 300) 1.32e8 (1.7 s) and (100000, 400) 3.0e8 (5.0 s)
+# Terms x the bit length of C(K-1,Q-1), which bounds every term of the curve,
+# plus TRADEOFF_ANCHOR_BITS per anchor point. On a 2-vCPU Xeon every Q of
+# K = 200 weighs 1.45e8 (3.0-3.6 s), (K, Q) = (100000, 300) 1.32e8 (1.7 s),
+# (100000, 400) 3.0e8 (5.0 s) and (100000, 100000) 1.0e8 (1.6 s)
 MAX_TRADEOFF_TERM_BITS = 2 * 10**8
+# An anchor costs about 16 us however small its terms (an optimal_load call),
+# as much as 750-1200 term-bits cost on the curves above
+TRADEOFF_ANCHOR_BITS = 1000
 
 
 def comb(n: int, k: int) -> int:
@@ -158,8 +162,9 @@ def _binomial_bits(n: int, k: int) -> float:
 def check_tradeoff_budget(k_nodes: int, q_active: int | None = None) -> None:
     """Refuse a tradeoff request above MAX_TRADEOFF_TERMS, or above
     MAX_TRADEOFF_TERM_BITS once each curve's terms are weighted by the
-    estimated bit length of its binomials, before any term is summed;
-    ``q_active`` None stands for every Q in 1..K."""
+    estimated bit length of its binomials and each of its Q anchor points by
+    TRADEOFF_ANCHOR_BITS, before any term is summed; ``q_active`` None
+    stands for every Q in 1..K."""
     terms = tradeoff_terms(k_nodes, q_active)
     which = "every Q" if q_active is None else f"Q = {q_active}"
     if terms > MAX_TRADEOFF_TERMS:
@@ -167,11 +172,13 @@ def check_tradeoff_budget(k_nodes: int, q_active: int | None = None) -> None:
             f"the tradeoff of K = {k_nodes} for {which} sums {terms} exact terms, "
             f"above the limit of {MAX_TRADEOFF_TERMS}")
     qs = range(1, k_nodes + 1) if q_active is None else (q_active,)
-    weight = sum(tradeoff_terms(k_nodes, q) * _binomial_bits(k_nodes - 1, q - 1) for q in qs)
+    weight = sum(tradeoff_terms(k_nodes, q) * _binomial_bits(k_nodes - 1, q - 1)
+                 + q * TRADEOFF_ANCHOR_BITS for q in qs)
     if weight > MAX_TRADEOFF_TERM_BITS:
         raise ParameterError(
             f"the tradeoff of K = {k_nodes} for {which} weighs an estimated "
-            f"{weight:.3g} term-bits (exact terms x the bit length of C(K-1,Q-1)), "
+            f"{weight:.3g} term-bits (exact terms x the bit length of C(K-1,Q-1), "
+            f"plus {TRADEOFF_ANCHOR_BITS} per anchor point), "
             f"above the limit of {MAX_TRADEOFF_TERM_BITS}")
 
 

@@ -443,8 +443,21 @@ def test_tradeoff_budget_weighs_terms_by_their_bits(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 3 and stdout == ""
     assert stderr == ("error: the tradeoff of K = 100000 for Q = 1000 weighs an estimated "
-                      "4.04e+09 term-bits (exact terms x the bit length of C(K-1,Q-1)), "
-                      "above the limit of 200000000\n")
+                      "4.04e+09 term-bits (exact terms x the bit length of C(K-1,Q-1), "
+                      "plus 1000 per anchor point), above the limit of 200000000\n")
+
+
+def test_tradeoff_budget_weighs_each_anchor_point(capsys):
+    # 999,999 terms of about 0 bits each, but 10^6 anchor points at about
+    # 16 us each: 1e9 term-bits once each anchor weighs 1000
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "tradeoff", "--k", "1000000", "--q", "1000000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and stdout == ""
+    assert stderr == ("error: the tradeoff of K = 1000000 for Q = 1000000 weighs an "
+                      "estimated 1e+09 term-bits (exact terms x the bit length of "
+                      "C(K-1,Q-1), plus 1000 per anchor point), above the limit of "
+                      "200000000\n")
 
 
 def test_simulate_budget_refuses_before_any_work(capsys, tmp_path):

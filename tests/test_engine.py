@@ -367,6 +367,25 @@ def test_dropped_occurrence_is_an_engine_defect(monkeypatch):
     assert str(err.value).endswith("(active set (1, 2, 4), symbol 1)")
 
 
+@pytest.mark.parametrize("places", [((0, 1), (1, 2)), ((4, 1), (1, 2))],
+                         ids=["stored-row-decoded", "row-decoded-twice"])
+def test_no_decode_hides_a_gap(monkeypatch, places):
+    # symbol 1 carries node 1's missing file 4 (row 3) and node 2's row 1;
+    # node 1's place moves to a row it stores, or to a row it also decodes
+    # under symbol 2, so node 1 decodes as many blocks as before and the
+    # cross-star rule still holds, but file 4 is left out
+    real = engine.plan_active_set
+
+    def moved(*args):
+        plan = real(*args)
+        return dataclasses.replace(plan, occurrences={**plan.occurrences, 1: places})
+
+    monkeypatch.setattr(engine, "plan_active_set", moved)
+    with pytest.raises(EngineDefectError, match="node 1 neither stores nor decodes file 4,") as err:
+        run_transcript(EX1, JobSpec(6, 3, 64, 120, 64, 7), [1, 2, 4])
+    assert str(err.value).endswith("(active set (1, 2, 4), symbol 1)")
+
+
 def test_cross_star_break_is_an_engine_defect():
     # built directly, so unvalidated: symbol 1 at (1,2) and (2,1) needs a
     # star at (2,2), which holds symbol 2 instead
@@ -396,50 +415,34 @@ def test_relabelled_split_plan_still_decodes(monkeypatch):
     assert report.signals != plain.signals  # the parts did move between labels
 
 
-class DriftingWorkload(Workload):
-    """A map whose output for one (d, n) changes by one bit after the
-    reference outputs were taken."""
-
-    def iva(self, d, n):
-        value = super().iva(d, n)
-        if self._reference is not None and (d, n) == (1, 4):
-            value ^= 1
-        return value
-
-
 def test_transcript_check_catches_corruption():
-    wl = DriftingWorkload(TOY)
+    # function 1's map output for file 4 changes by one bit after the
+    # reference outputs were taken
+    wl = Workload(TOY)
     wl.reference()
+    wl.column(1)[3] ^= 1
     report = run_transcript(EX1, TOY, [1, 2, 4], workload=wl)
     assert report.reference_match is False
     assert report.outputs[1][1] != wl.reference()[1]
     assert report.outputs[2][2] == wl.reference()[2]
 
 
-class FlakyMap(Workload):
-    """A map whose output for (1, 4) is wrong on its first call after the
-    reference was taken, and a reduce that ignores the values it is given,
-    so that only the per-value decode check can see the fault."""
-
-    flipped = False
-
-    def iva(self, d, n):
-        value = super().iva(d, n)
-        if self._reference is not None and (d, n) == (1, 4) and not self.flipped:
-            self.flipped = True
-            value ^= 1
-        return value
+class IgnoringReduce(Workload):
+    """A reduce that ignores the values it is given and reduces the map
+    outputs instead, so that only the per-value decode check can see a
+    fault in a decoded block."""
 
     def reduce_output(self, d, ivas):
-        return super().reduce_output(
-            d, [self.iva(d, n) for n in range(1, self.job.n_files + 1)])
+        return super().reduce_output(d, self.column(d))
 
 
 def test_decoded_values_are_checked_one_by_one():
-    wl = FlakyMap(TOY)
+    # node 1 reduces function 1 and decodes file 4 (row 3, symbol 1 of EX1);
+    # one bit of the block it is sent is wrong, its column entry is right
+    wl = IgnoringReduce(TOY)
     wl.reference()
+    wl.blocks((1,), 1)[3] ^= 1
     report = run_transcript(EX1, TOY, [1, 2, 4], workload=wl)
-    assert wl.flipped
     assert all(report.outputs[k][d] == wl.reference()[d]
                for k, outputs in report.outputs.items() for d in outputs)
     assert report.reference_match is False
@@ -469,9 +472,68 @@ def test_mixed_multiplicity_stack_end_to_end():
         assert report.match and report.all_reference_match
 
 
+def test_each_map_value_is_computed_once_per_job(monkeypatch):
+    calls = Counter()
+    real = Workload.iva
+
+    def counting(self, d, n):
+        calls[id(self), d, n] += 1
+        return real(self, d, n)
+
+    monkeypatch.setattr(Workload, "iva", counting)
+    for pda, job, q in ((man_pda(6, 3), JobSpec(20, 4, 16, 12, 16, seed=1), 4),
+                        (MIXED, JobSpec(25, 5, 16, 12, 16, seed=3), 5)):
+        calls.clear()
+        report = measure_loads(pda, job, q)
+        assert report.match and report.all_reference_match
+        assert len(calls) == sum(calls.values()) == job.n_files * job.d_functions
+
+
+def test_workload_shared_by_arrays_of_different_batch_size():
+    # F = 6 and F = 4 cut the same 12 files into batches of 2 and 3, so the
+    # same function tuples are packed into blocks twice, once per batch
+    # size; the third array reads the batch-2 blocks back from the cache
+    job = JobSpec(12, 3, 16, 8, 16, seed=4)
+    shared = Workload(job)
+    for pda in (man_pda(4, 2), man_pda(4, 3), man_pda(4, 2)):
+        for active in itertools.combinations(range(1, 5), 3):
+            report = run_transcript(pda, job, active, workload=shared)
+            fresh = run_transcript(pda, job, active)
+            assert report.reference_match
+            assert report == fresh and report.signals == fresh.signals
+
+
+def test_signals_are_built_only_when_read(monkeypatch):
+    built = []
+
+    class CountingBits(Bits):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(engine, "Bits", CountingBits)
+    job = JobSpec(20, 4, 16, 12, 16, seed=1)
+    report = measure_loads(man_pda(6, 3), job, 4)
+    assert report.match and report.all_reference_match
+    assert built == []
+    transcript = run_transcript(man_pda(6, 3), job, [1, 2, 4, 6])
+    assert built == []
+    signals = transcript.signals
+    assert len(built) == len(signals) > 0
+    assert transcript.signals is signals and len(built) == len(signals)
+    assert sum(signal.nbits for signal in signals.values()) == transcript.total_bits
+
+
+def test_exhaustive_man_10_5_at_scale():
+    # 120 transcripts of a 252 x 10 array; V = 60 = lcm(1..6) with eta = D/Q = 1
+    report = measure_loads(man_pda(10, 5), JobSpec(252, 7, 64, 60, 64, seed=1), 7)
+    assert report.mode == "exhaustive" and len(report.per_active_set) == 120
+    assert report.match and report.all_reference_match
+
+
 def no_transcript(pda, job, active, workload=None):
     """Stands in for run_transcript where only the choice of sets matters."""
-    return TranscriptReport(active=tuple(active), signals={}, per_node_bits={},
+    return TranscriptReport(active=tuple(active), coded=(), per_node_bits={},
                             per_symbol_bits={}, total_bits=0, outputs={},
                             reference_match=True)
 

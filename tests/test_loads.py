@@ -383,3 +383,8 @@ def test_tradeoff_budget_weighs_terms_by_their_bits():
         check_tradeoff_budget(100000, 400)
     with pytest.raises(ParameterError, match="estimated 4.04e[+]09 term-bits"):
         tradeoff_curve(100000, 1000)
+    # each anchor point weighs 1000 term-bits: 10^5 of them (1.6 s) run,
+    # 10^6 (about 16 s) are refused although their terms weigh nothing
+    check_tradeoff_budget(100000, 100000)
+    with pytest.raises(ParameterError, match="estimated 1e[+]09 term-bits"):
+        check_tradeoff_budget(1000000, 1000000)
