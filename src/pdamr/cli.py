@@ -159,7 +159,7 @@ def cmd_analyze(args) -> int:
     pda = read_pda(args.pda)
     pair = achieved_load(pda, args.q)
     optimal = optimal_load(pda.k, args.q, pair.r)
-    gap = pair.l / optimal if optimal else (Fraction(1) if pair.l == 0 else None)
+    gap = pair.l / optimal if optimal else Fraction(1)  # L* = 0 only at r = K, where L = 0
     f_optimal = (optimal_file_complexity(pda.k, int(pair.r))
                  if pair.r.denominator == 1 else None)
     results = {

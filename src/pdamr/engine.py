@@ -492,13 +492,12 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
 
     ``samples=None`` enumerates all C(K,Q) sets; otherwise that many sets are
     drawn uniformly with replacement using ``seed``. Before any work it checks
-    the Q range, ``samples``, ``job_geometry`` and two budgets: transcripts x
-    F x K up to MAX_TRANSCRIPT_CELLS, ``hashed_bytes`` up to MAX_HASHED_BYTES.
+    ``job_geometry``, ``samples`` and two budgets: transcripts x F x K up
+    to MAX_TRANSCRIPT_CELLS, ``hashed_bytes`` up to MAX_HASHED_BYTES.
     """
-    _check_kq(pda.k, q_active)
+    job_geometry(pda, job, q_active)
     if samples is not None and samples < 1:
         raise ParameterError("samples must be >= 1")
-    job_geometry(pda, job, q_active)
     transcripts = comb(pda.k, q_active) if samples is None else samples
     if transcripts * pda.f * pda.k > MAX_TRANSCRIPT_CELLS:
         raise ParameterError(

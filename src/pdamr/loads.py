@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,12 +21,11 @@ from .constructions import p1_pda, p2_pda
 from .pda import ParameterError, Pda, pda_stats
 
 BETA_BOUND = math.sqrt(2 * math.pi) * math.e ** 2  # upper range for beta, ~18.48
-# Fraction terms a tradeoff request may sum; every Q of K = 200 sums 671,650
-MAX_TRADEOFF_TERMS = 1_000_000
-# Terms x the bit length of C(K-1,Q-1), which bounds every term of the curve,
-# plus TRADEOFF_ANCHOR_BITS per anchor point. On a 2-vCPU Xeon every Q of
-# K = 200 weighs 1.45e8 (3.0-3.6 s), (K, Q) = (100000, 300) 1.32e8 (1.7 s),
-# (100000, 400) 3.0e8 (5.0 s) and (100000, 100000) 1.0e8 (1.6 s)
+# The one tradeoff budget: each curve's exact terms x the bit length of
+# C(K-1,Q-1), which bounds every term of the curve, plus TRADEOFF_ANCHOR_BITS
+# per anchor point. On a 2-vCPU Xeon every Q of K = 200 weighs 1.45e8
+# (3.0-3.6 s), (K, Q) = (100000, 300) 1.32e8 (1.7 s), (100000, 400) 3.0e8
+# (5.0 s) and (100000, 100000) 1.0e8 (1.6 s)
 MAX_TRADEOFF_TERM_BITS = 2 * 10**8
 # An anchor costs about 16 us however small its terms (an optimal_load call),
 # as much as 750-1200 term-bits cost on the curves above
@@ -34,7 +34,7 @@ TRADEOFF_ANCHOR_BITS = 1000
 
 def comb(n: int, k: int) -> int:
     """Binomial coefficient with C(n,k) = 0 outside 0 <= k <= n."""
-    if k < 0 or k > n or n < 0:
+    if k < 0 or k > n:
         return 0
     return math.comb(n, k)
 
@@ -134,22 +134,16 @@ def optimal_load(k_nodes: int, q_active: int, r) -> Fraction:
     return (1 - Fraction(r, k_nodes)) * total / comb(k_nodes - 1, q_active - 1)
 
 
-def tradeoff_terms(k_nodes: int, q_active: int | None = None) -> int:
+def tradeoff_terms(k_nodes: int, q_active: int) -> int:
     """How many Fraction terms ``optimal_load`` sums over the integer anchors
-    of the (K, Q) curve, or of every curve Q = 1..K when ``q_active`` is None.
+    of the (K, Q) curve.
 
     With b = Q-1 and c = K-b, the anchor r = K-a (a in 0..b) sums min(a, c)
-    terms: b(b+1)/2 in all when b <= c, else c(c+1)/2 + (b-c)*c. Over every
-    Q, b runs to K//2 in the first case and c from K-K//2-1 down to 1 in the
-    second, which sums in closed form.
+    terms: b(b+1)/2 in all when b <= c, else c(c+1)/2 + (b-c)*c.
     """
-    _check_kq(k_nodes, 1 if q_active is None else q_active)
-    if q_active is not None:
-        b, c = q_active - 1, k_nodes - q_active + 1
-        return b * (b + 1) // 2 if b <= c else c * (c + 1) // 2 + (b - c) * c
-    b, c = k_nodes // 2, k_nodes - k_nodes // 2 - 1
-    return (b * (b + 1) * (b + 2) // 6 + c * (c + 1) * (c + 2) // 6
-            + k_nodes * c * (c + 1) // 2 - c * (c + 1) * (2 * c + 1) // 3)
+    _check_kq(k_nodes, q_active)
+    b, c = q_active - 1, k_nodes - q_active + 1
+    return b * (b + 1) // 2 if b <= c else c * (c + 1) // 2 + (b - c) * c
 
 
 def _binomial_bits(n: int, k: int) -> float:
@@ -160,26 +154,31 @@ def _binomial_bits(n: int, k: int) -> float:
 
 
 def check_tradeoff_budget(k_nodes: int, q_active: int | None = None) -> None:
-    """Refuse a tradeoff request above MAX_TRADEOFF_TERMS, or above
-    MAX_TRADEOFF_TERM_BITS once each curve's terms are weighted by the
-    estimated bit length of its binomials and each of its Q anchor points by
-    TRADEOFF_ANCHOR_BITS, before any term is summed; ``q_active`` None
-    stands for every Q in 1..K."""
-    terms = tradeoff_terms(k_nodes, q_active)
-    which = "every Q" if q_active is None else f"Q = {q_active}"
-    if terms > MAX_TRADEOFF_TERMS:
-        raise ParameterError(
-            f"the tradeoff of K = {k_nodes} for {which} sums {terms} exact terms, "
-            f"above the limit of {MAX_TRADEOFF_TERMS}")
-    qs = range(1, k_nodes + 1) if q_active is None else (q_active,)
-    weight = sum(tradeoff_terms(k_nodes, q) * _binomial_bits(k_nodes - 1, q - 1)
-                 + q * TRADEOFF_ANCHOR_BITS for q in qs)
-    if weight > MAX_TRADEOFF_TERM_BITS:
-        raise ParameterError(
-            f"the tradeoff of K = {k_nodes} for {which} weighs an estimated "
-            f"{weight:.3g} term-bits (exact terms x the bit length of C(K-1,Q-1), "
-            f"plus {TRADEOFF_ANCHOR_BITS} per anchor point), "
-            f"above the limit of {MAX_TRADEOFF_TERM_BITS}")
+    """Refuse a tradeoff request above MAX_TRADEOFF_TERM_BITS before any term
+    is summed. Each curve weighs its exact terms times the estimated bit
+    length of its binomials, plus TRADEOFF_ANCHOR_BITS for each of its Q
+    anchor points; ``q_active`` None stands for every Q in 1..K, whose
+    running weight is refused as soon as it passes the limit."""
+    _check_kq(k_nodes, 1 if q_active is None else q_active)
+    weight = 0.0
+    for q in range(1, k_nodes + 1) if q_active is None else (q_active,):
+        try:
+            weight += (tradeoff_terms(k_nodes, q) * _binomial_bits(k_nodes - 1, q - 1)
+                       + q * TRADEOFF_ANCHOR_BITS)
+        except OverflowError:  # an int past the float range, at Q over 1e154
+            weight = math.inf
+        if weight > MAX_TRADEOFF_TERM_BITS:
+            which = f"Q = {q}" if q_active is not None else f"Q = 1..{q}"
+            shown = f"{weight:.3g}"
+            if weight == math.inf:
+                shown = f"over {sys.float_info.max:.3g}"
+            elif float(shown) <= MAX_TRADEOFF_TERM_BITS:  # 3 digits hide the excess
+                shown = str(math.ceil(weight))
+            raise ParameterError(
+                f"the tradeoff of K = {k_nodes} for {which} weighs an estimated "
+                f"{shown} term-bits (exact terms x the bit length of C(K-1,Q-1), "
+                f"plus {TRADEOFF_ANCHOR_BITS} per anchor point), "
+                f"above the limit of {MAX_TRADEOFF_TERM_BITS}")
 
 
 def tradeoff_curve(k_nodes: int, q_active: int) -> TradeoffCurve:

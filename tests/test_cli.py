@@ -156,6 +156,19 @@ def test_analyze_p1_gap(capsys, tmp_path):
     assert results["optimal_file_complexity"] == 6
 
 
+@pytest.mark.parametrize("q", ["1", "2", "3"])
+def test_analyze_fullstar_gap_is_one(capsys, tmp_path, q):
+    # the all-star array sits at r = K, where both loads are 0
+    path = tmp_path / "fs.pda"
+    run(capsys, "gen", "fullstar", "--k", "3", "--f", "1", "--out", str(path))
+    code, stdout, _ = run(capsys, "analyze", "--pda", str(path), "--q", q)
+    assert code == 0
+    results = json.loads(stdout)["results"]
+    assert results["achieved"]["l"]["exact"] == "0"
+    assert results["optimal_l"]["exact"] == "0"
+    assert results["gap_ratio"]["exact"] == "1"
+
+
 def test_analyze_insufficient_tau(capsys, ex1_path):
     code, _, stderr = run(capsys, "analyze", "--pda", ex1_path, "--q", "1")
     assert code == 3
@@ -432,8 +445,18 @@ def test_tradeoff_budget_refuses_before_any_work(capsys):
     code, stdout, stderr = run(capsys, "tradeoff", "--k", "400", "--all-q")
     assert time.perf_counter() - start < 1.0
     assert code == 3 and stdout == ""
-    assert stderr == ("error: the tradeoff of K = 400 for every Q sums 5353300 exact "
-                      "terms, above the limit of 1000000\n")
+    assert stderr == ("error: the tradeoff of K = 400 for Q = 1..148 weighs an estimated "
+                      "2.04e+08 term-bits (exact terms x the bit length of C(K-1,Q-1), "
+                      "plus 1000 per anchor point), above the limit of 200000000\n")
+
+
+def test_tradeoff_budget_refuses_huge_q(capsys):
+    k = str(10**400)
+    code, stdout, stderr = run(capsys, "tradeoff", "--k", k, "--q", k)
+    assert code == 3 and stdout == ""
+    assert stderr.endswith(" weighs an estimated over 1.8e+308 term-bits (exact terms x "
+                           "the bit length of C(K-1,Q-1), plus 1000 per anchor point), "
+                           "above the limit of 200000000\n")
 
 
 def test_tradeoff_budget_weighs_terms_by_their_bits(capsys):

@@ -6,6 +6,7 @@ subset-enumeration oracle at the bottom of this file.
 """
 
 import math
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -38,7 +39,6 @@ from pdamr import (
 )
 from pdamr.loads import (
     MAX_TRADEOFF_TERM_BITS,
-    MAX_TRADEOFF_TERMS,
     _binomial_bits,
     check_tradeoff_budget,
     tradeoff_terms,
@@ -352,22 +352,58 @@ def test_prop1_rejections():
 
 
 def test_tradeoff_terms_count_every_summed_term():
-    def summed(k, qs):
-        return sum(len(range(r + q - k, min(r, q - 1) + 1))
-                   for q in qs for r in range(k - q + 1, k + 1))
+    def summed(k, q):
+        return sum(len(range(r + q - k, min(r, q - 1) + 1)) for r in range(k - q + 1, k + 1))
 
     for k in range(1, 31):
-        assert tradeoff_terms(k) == summed(k, range(1, k + 1)), k
         for q in range(1, k + 1):
-            assert tradeoff_terms(k, q) == summed(k, [q]), (k, q)
-    assert tradeoff_terms(200) == 671650 <= MAX_TRADEOFF_TERMS
+            assert tradeoff_terms(k, q) == summed(k, q), (k, q)
     with pytest.raises(ParameterError):
-        tradeoff_terms(0)
+        tradeoff_terms(0, 1)
 
 
 def test_tradeoff_curve_refuses_over_budget():
-    with pytest.raises(ParameterError, match="sums 1249975000 exact terms, above the limit"):
+    with pytest.raises(ParameterError, match="estimated 1.53e[+]14 term-bits"):
         tradeoff_curve(100000, 50000)
+
+
+def test_term_bits_refuse_every_curve_over_a_million_terms():
+    # at c = K-Q+1 <= 200 the curve sums c(c+1)/2 + (Q-1-c)*c terms; the
+    # smallest Q over 10^6 of them (c = 9: K = 111125, 2.33e8 term-bits)
+    # weighs the least of any such curve, and the term-bits still refuse it
+    for c in range(1, 201):
+        q = c + 1 + (10**6 - c * (c + 1) // 2) // c + 1
+        k = q + c - 1
+        assert tradeoff_terms(k - 1, q - 1) <= 10**6 < tradeoff_terms(k, q), c
+        with pytest.raises(ParameterError, match="term-bits"):
+            check_tradeoff_budget(k, q)
+
+
+def test_every_q_budget_stops_at_the_limit():
+    # the running weight of every Q passes the limit within the first few
+    # hundred curves, however large K is
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match=r"for Q = 1\.\.\d+ weighs"):
+        check_tradeoff_budget(10**400)
+    assert time.perf_counter() - start < 0.1
+    # just past the limit the weight shows enough digits to pass it
+    with pytest.raises(ParameterError, match="estimated 200193106 term-bits"):
+        check_tradeoff_budget(219)
+
+
+def test_tradeoff_budget_refuses_weights_past_the_float_range():
+    # terms or anchors past the float range, or a product past it
+    for k, q in ((10**400, 10**400), (10**400, 10**399), (10**120, 10**119)):
+        with pytest.raises(ParameterError, match="estimated over 1.8e[+]308 term-bits"):
+            check_tradeoff_budget(k, q)
+
+
+def test_binomial_bits_bound_large_n():
+    for n in (10**3, 10**5, 10**6, 10**9):
+        for k in (1, 2, n // 3, n // 2, n - 1):
+            exact = (math.lgamma(n + 1) - math.lgamma(k + 1)
+                     - math.lgamma(n - k + 1)) / math.log(2)
+            assert _binomial_bits(n, k) >= exact * (1 - 1e-9), (n, k)
 
 
 def test_tradeoff_budget_weighs_terms_by_their_bits():
