@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter, xor
+from operator import xor
 from typing import NamedTuple
 
 from .bits import Bits, block_stream, le64
@@ -240,8 +240,8 @@ class ActiveSetPlan:
     """Deterministic shuffle plan for one active set, one entry per symbol.
 
     ``occurrences`` maps each surviving symbol, ascending, to its places
-    (0-based row, 1-based node label) inside the active columns, by
-    ascending column. Symbols occurring once go to ``singleton_assignment``
+    (0-based row, 1-based node label) in the active columns; the places keep
+    the array's order, by column. Singletons go to ``singleton_assignment``
     (symbol -> responsible sender, the smallest active node with a star in
     that row). For a symbol occurring g >= 2 times the place order labels
     the parts: the block at place t splits into g-1 equal parts, most
@@ -269,11 +269,9 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
     active_mask = sum(1 << (k - 1) for k in active)
     occurrences: dict[int, tuple[tuple[int, int], ...]] = {}
     singleton_assignment: dict[int, int] = {}
-    for sym in sorted(pda.occurrences):
-        places = [(i, j + 1) for i, j in pda.occurrences[sym] if active_mask >> j & 1]
-        if len(places) > 1:
-            places.sort(key=itemgetter(1))
-        elif places:
+    for sym, occ in pda.occurrences.items():
+        places = [(i, j + 1) for i, j in occ if active_mask >> j & 1]
+        if len(places) == 1:
             senders = pda.row_star_masks[places[0][0]] & active_mask
             singleton_assignment[sym] = (senders & -senders).bit_length()
         if places:

@@ -13,10 +13,10 @@ sets may have gaps.
 One row-major pass (``_scan``) is the only walk over a grid's cells that
 finds its facts: it relabels the symbols, records their occurrences and one
 star bitmask per row, and flags entries that are not symbols. Parsed and
-constructed arrays come in through one intake (``_intake``), which checks
-the PDA rules per symbol against those masks and hands what the scan found
-to the ``Pda``; ``validate_pda`` and the facts of a directly built ``Pda``
-read the same scan.
+constructed arrays share one intake (``_intake``), which checks the PDA
+rules per symbol against those masks; ``validate_pda`` and a directly built
+``Pda`` read the same scan. Every ``Pda`` lists its occurrences with the
+symbols ascending, places by ascending column.
 """
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ class EmptyStarRowError(ParameterError):
 
 @dataclass(frozen=True)
 class Pda:
-    """Validated PDA grid. Construct through ``parse_pda``, the family
-    constructors, ``stack_pda`` or ``column_subarray``; building one directly
-    skips validation. The facts below are computed once per array; the
-    intake hands ``occurrences`` and ``row_star_masks`` over from its scan."""
+    """Validated PDA grid, built by ``parse_pda``, the family constructors,
+    ``stack_pda`` or ``column_subarray``; one built directly skips validation.
+    Each fact is computed once per array; the intake hands over its scan's
+    ``occurrences`` (symbols ascending, places by ascending column) and masks."""
 
     grid: tuple[tuple[int, ...], ...]
 
@@ -125,10 +125,10 @@ class Pda:
 
     @cached_property
     def occurrences(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """symbol -> ((row, col), ...) in row-major order, 0-based. Read-only."""
+        """symbol -> ((row, col), ...), 0-based; symbols ascending, places by column. Read-only."""
         label_of, places, _, masks, _ = _scan(self.grid)
         self.__dict__["row_star_masks"] = tuple(masks)  # one scan fills both
-        return {sym: tuple(places[label]) for sym, label in label_of.items()}
+        return {sym: _in_column_order(places[label_of[sym]]) for sym in sorted(label_of)}
 
     @cached_property
     def row_star_masks(self) -> tuple[int, ...]:
@@ -259,6 +259,11 @@ def _scan(rows):
     return label_of, places, grid, masks, bad
 
 
+def _in_column_order(places) -> tuple[tuple[int, int], ...]:
+    """One symbol's row-major places by ascending column (a stable sort)."""
+    return tuple(sorted(places, key=itemgetter(1)))
+
+
 def validate_pda(grid, require_canonical: bool = True) -> ValidationReport:
     """Check a raw grid against the PDA rules and report every violation.
 
@@ -304,21 +309,20 @@ def _intake(rows) -> Pda:
     entries are STAR or positive ints.
 
     ``_scan`` renumbers the symbols 1..S by first occurrence and records each
-    symbol's occurrences and each row's star mask; each symbol is then
-    checked by ``_rule_violations``. Rule cost is O(cells + sum of
-    multiplicities) unless a rule breaks. Raises PdaValidationError listing
-    every violation: any "symbol" ones of the scan, then the rules in label
-    order, each naming its symbol as the grid wrote it.
+    symbol's places, row-major, and each row's star mask; ``_rule_violations``
+    checks each symbol, in O(cells + sum of multiplicities) unless a rule
+    breaks. Raises PdaValidationError listing every violation: any "symbol"
+    ones of the scan, then the rules in label order, each naming its symbol
+    as the grid wrote it. Only a valid grid has its places put in column order.
     """
     label_of, places, grid, masks, violations = _scan(rows)
-    occurrences: dict[int, tuple[tuple[int, int], ...]] = {}
     for entry, label in label_of.items():  # labels 1..S in order
-        occurrences[label] = found = tuple(places[label])
-        places[label] = None  # never hold both copies of every occurrence list
-        if len(found) > 1:
-            violations += _rule_violations(entry, found, masks)
+        violations += _rule_violations(entry, places[label], masks)
     if violations:
         raise PdaValidationError(ValidationReport(tuple(violations), None))
+    occurrences: dict[int, tuple[tuple[int, int], ...]] = {}
+    for label in label_of.values():  # keys share the grid's ints; each list goes once copied
+        occurrences[label], places[label] = _in_column_order(places[label]), None
     pda = Pda(tuple(grid))
     # seed the cached properties with what the scan found (Pda is frozen)
     pda.__dict__.update(occurrences=occurrences, row_star_masks=tuple(masks))

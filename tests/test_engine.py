@@ -9,7 +9,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from random_pdas import greedy_comp_pda
+from hypothesis import given, settings, strategies as st
+from random_pdas import balanced_comp_pdas, comp_pdas, greedy_comp_pda
 
 from pdamr import engine
 from pdamr import (
@@ -747,15 +748,20 @@ RENAMED = Pda(tuple(tuple(STAR if e == STAR else (30, 4, 17)[e - 1] for e in row
                     + (STAR, STAR) for row in man_pda(3, 1).grid))
 
 
-@pytest.mark.parametrize("pda", [man_pda(6, 3), p2_pda(3, 2), MIXED, RENAMED],
-                         ids=["man-6-3", "p2-3-2", "mixed-stack", "renamed-labels"])
-def test_plan_matches_grid_scan(pda):
+def plan_job(pda, q):
+    """A job whose coded blocks split evenly at active-set size ``q``: with
+    D = lcm(1..q) and V = 12, lcm(1..q-1) divides (D/q)*V for every q <= 8,
+    the widest array drawn here."""
+    return JobSpec(pda.f, math.lcm(*range(1, q + 1)), 16, 12, 16, seed=1)
+
+
+def assert_plans_match_reference(pda):
     for j in range(pda.k):
         assert pda.star_rows(j) == tuple(
             i for i, mask in enumerate(pda.row_star_masks) if mask >> j & 1)
     assert all(0 < mask < 1 << pda.k for mask in pda.row_star_masks)
-    job = JobSpec(pda.f, 60, 16, 60, 16, seed=1)  # splits evenly for every Q <= 6
     for q in range(1, pda.k + 1):
+        job = plan_job(pda, q)
         for active in itertools.combinations(range(1, pda.k + 1), q):
             want = reference_plan(pda, active, job)
             if isinstance(want, EmptyStarRowError):
@@ -771,6 +777,55 @@ def test_plan_matches_grid_scan(pda):
                 assert got == expected, field.name
                 if isinstance(expected, dict):
                     assert list(got) == list(expected), field.name
+
+
+FIXED_PDAS = pytest.mark.parametrize(
+    "pda", [man_pda(6, 3), p2_pda(3, 2), MIXED, RENAMED],
+    ids=["man-6-3", "p2-3-2", "mixed-stack", "renamed-labels"])
+MIXED_MULTIPLICITY_PDAS = st.one_of(comp_pdas(), balanced_comp_pdas())
+
+
+@FIXED_PDAS
+def test_plan_matches_grid_scan(pda):
+    assert_plans_match_reference(pda)
+
+
+@settings(max_examples=30)
+@given(MIXED_MULTIPLICITY_PDAS)
+def test_plan_of_random_arrays_matches_grid_scan(pda):
+    assert_plans_match_reference(pda)
+
+
+def assert_plan_filters_in_order(pda):
+    """``Pda.occurrences`` lists the symbols ascending and each symbol's
+    places by strictly ascending column, for the intake and for a directly
+    built array alike, and a plan keeps the active places in that order."""
+    assert list(pda.occurrences) == sorted(pda.occurrences)
+    for places in pda.occurrences.values():
+        assert all(j1 < j2 for (_, j1), (_, j2) in zip(places, places[1:]))
+    direct = Pda(pda.grid).occurrences
+    assert list(direct.items()) == list(pda.occurrences.items())
+    for q in range(1, pda.k + 1):
+        job = plan_job(pda, q)
+        for active in itertools.combinations(range(1, pda.k + 1), q):
+            try:
+                plan = plan_active_set(pda, active, job)
+            except EmptyStarRowError:
+                continue
+            kept = ((sym, tuple((i, j + 1) for i, j in places if j + 1 in active))
+                    for sym, places in pda.occurrences.items())
+            assert list(plan.occurrences.items()) == [(sym, p) for sym, p in kept if p]
+
+
+@FIXED_PDAS
+def test_plan_is_an_in_order_filter(pda):
+    assert_plan_filters_in_order(pda)
+
+
+@settings(max_examples=30)
+@given(MIXED_MULTIPLICITY_PDAS)
+def test_plan_of_random_arrays_is_an_in_order_filter(pda):
+    assert_plan_filters_in_order(pda)
 
 
 def test_plan_holds_one_entry_per_symbol():

@@ -300,7 +300,10 @@ def test_cached_facts_of_unvalidated_grid():
     pda = Pda(((STAR, 5, STAR), (5, STAR, 7), (STAR, STAR, STAR)))
     assert pda.row_star_masks == (0b101, 0b010, 0b111)
     assert (pda.tau, pda.t, pda.s_t) == (1, 6, {1: 1, 2: 1})
-    assert pda.occurrences == {5: ((0, 1), (1, 0)), 7: ((1, 2),)}
+    # places by ascending column, not in the scan's row-major order
+    assert pda.occurrences == {5: ((1, 0), (0, 1)), 7: ((1, 2),)}
+    # symbols ascending, not in the order of their first occurrence
+    assert tuple(Pda(((9, STAR), (STAR, 3))).occurrences) == (3, 9)
 
 
 def test_pda_helpers():
