@@ -23,16 +23,17 @@ class ArrayTooLargeError(ParameterError):
     """The requested array has more cells than ``MAX_CELLS``."""
 
 
-def _check_cells(name: str, count_rows, k_nodes: int, row_bits: int) -> None:
-    """Refuse the F x K array ``name`` above MAX_CELLS before any row is built.
-    A cheap lower bound ``row_bits`` on F's bit length refuses arrays above
-    MAX_CELLS**2 cells before ``count_rows()``, which may take seconds."""
+def _check_cells(name: str, count_rows, k_nodes: int, row_bits: int) -> int:
+    """Return F = ``count_rows()`` unless the F x K array ``name`` is above
+    MAX_CELLS. A cheap lower bound ``row_bits`` on F's bit length refuses
+    arrays above MAX_CELLS**2 cells before ``count_rows()``, which may take seconds."""
     if row_bits + k_nodes.bit_length() - 1 > 2 * MAX_CELLS.bit_length():
         raise ArrayTooLargeError(f"{name} has more cells than the limit of {MAX_CELLS}")
     cells = count_rows() * k_nodes
     if cells > MAX_CELLS:
         raise ArrayTooLargeError(
             f"{name} has {cells} cells, above the limit of {MAX_CELLS}")
+    return cells // k_nodes
 
 
 def _finish(raw_grid) -> Pda:
@@ -89,6 +90,26 @@ def _name(b: tuple[int, ...], q: int) -> int:
     return code + 1
 
 
+def _grid_rows(name: str, q: int, m: int, count_rows) -> int:
+    """Check a grid family's (q, m) and its F x mq cell count; return F."""
+    if q < 2:
+        raise ParameterError("q must be >= 2")
+    if m < 1:
+        raise ParameterError("m must be >= 1")
+    return _check_cells(f"{name}({q},{m})", count_rows, m * q,
+                        (m - 1) * (q.bit_length() - 1) + 1)
+
+
+def p1_rows(q: int, m: int) -> int:
+    """F = q**(m-1), the row count of ``p1_pda(q, m)``, under its checks."""
+    return _grid_rows("p1", q, m, lambda: q ** (m - 1))
+
+
+def p2_rows(q: int, m: int) -> int:
+    """F = (q-1)*q**(m-1), the row count of ``p2_pda(q, m)``, under its checks."""
+    return _grid_rows("p2", q, m, lambda: (q - 1) * q ** (m - 1))
+
+
 def p1_pda(q: int, m: int) -> Pda:
     """Low-file-complexity family, first kind: an m-regular
     (m*q, q**(m-1), m*q**(m-1), (q-1)*q**(m-1)) Comp-PDA with minimum
@@ -99,14 +120,8 @@ def p1_pda(q: int, m: int) -> Pda:
     lexicographic order. Entry (b, (i, j)) is a star when b_i = j, else the
     symbol named by b with coordinate i replaced by j.
     """
-    if q < 2:
-        raise ParameterError("q must be >= 2")
-    if m < 1:
-        raise ParameterError("m must be >= 1")
     # the loop below visits q**m = q * F vectors, at most the cell count
-    _check_cells(f"p1({q},{m})", lambda: q ** (m - 1), m * q,
-                 (m - 1) * (q.bit_length() - 1) + 1)
-
+    f_rows = p1_rows(q, m)
     columns = _grid_columns(q, m)
     grid = []
     for b in product(range(q), repeat=m):
@@ -116,7 +131,7 @@ def p1_pda(q: int, m: int) -> Pda:
         grid.append([STAR if b[i - 1] == j else name + (j - b[i - 1]) * weight
                      for i, j, weight in columns])
     pda = _finish(grid)
-    expected = (m * q, q ** (m - 1), m * q ** (m - 1), (q - 1) * q ** (m - 1))
+    expected = (m * q, f_rows, m * f_rows, (q - 1) * f_rows)
     if pda.params != expected:
         raise AssertionError(f"p1_pda({q},{m}) parameters {pda.params} != {expected}")
     return pda
@@ -132,13 +147,7 @@ def p2_pda(q: int, m: int) -> Pda:
     ordinary entry at (b, (i, b_i)) is the symbol named by b with coordinate
     i replaced by the unique value that makes the coordinate sum 0 mod q.
     """
-    if q < 2:
-        raise ParameterError("q must be >= 2")
-    if m < 1:
-        raise ParameterError("m must be >= 1")
-    _check_cells(f"p2({q},{m})", lambda: (q - 1) * q ** (m - 1), m * q,
-                 (m - 1) * (q.bit_length() - 1) + 1)
-
+    f_rows = p2_rows(q, m)
     columns = _grid_columns(q, m)
     grid = []
     for b in product(range(q), repeat=m):
@@ -150,7 +159,7 @@ def p2_pda(q: int, m: int) -> Pda:
         grid.append([STAR if b[i - 1] != j else name + ((j - total) % q - j) * weight
                      for i, j, weight in columns])
     pda = _finish(grid)
-    expected = (m * q, (q - 1) * q ** (m - 1), m * (q - 1) ** 2 * q ** (m - 1), q ** (m - 1))
+    expected = (m * q, f_rows, m * (q - 1) * f_rows, f_rows // (q - 1))
     if pda.params != expected:
         raise AssertionError(f"p2_pda({q},{m}) parameters {pda.params} != {expected}")
     return pda

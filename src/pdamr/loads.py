@@ -11,13 +11,12 @@ equality instead of tolerances. Only the Stirling-scale constants of
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import p1_pda, p2_pda
+from .constructions import p1_rows, p2_rows
 from .pda import ParameterError, Pda, pda_stats
 
 BETA_BOUND = math.sqrt(2 * math.pi) * math.e ** 2  # upper range for beta, ~18.48
@@ -194,8 +193,8 @@ def achieved_load(pda: Pda, q_active: int) -> LoadPair:
     from ``pda`` when ``q_active`` nodes stay active.
 
     L = (1 - T/(F*K)) * sum_t theta_t * u_value(K, Q, t) / C(K-1, Q-1).
-    For a g-regular array the sum collapses to the single term t = g; that is
-    an identity of the formula, not a separate code path.
+    For a g-regular array the sum collapses to the single term t = g, which
+    ``prop1_check`` evaluates through the same ``_load``.
     """
     _check_kq(pda.k, q_active)
     stats = pda_stats(pda)
@@ -205,11 +204,14 @@ def achieved_load(pda: Pda, q_active: int) -> LoadPair:
     if stats.tau < needed:
         raise InsufficientTauError(stats.tau, needed)
 
-    weight = Fraction(0)
-    for t, frac in stats.theta.items():
-        weight += frac * u_value(pda.k, q_active, t)
-    l = (1 - Fraction(pda.t, pda.f * pda.k)) * weight / comb(pda.k - 1, q_active - 1)
-    return LoadPair(r=stats.storage_load, l=l)
+    return LoadPair(r=stats.storage_load,
+                    l=_load(pda.k, q_active, stats.storage_load, stats.theta))
+
+
+def _load(k_nodes: int, q_active: int, r, theta: dict) -> Fraction:
+    """The load (1 - r/K) * sum_t theta_t * u_value(K, Q, t) / C(K-1, Q-1)."""
+    weight = sum(frac * u_value(k_nodes, q_active, t) for t, frac in theta.items())
+    return (1 - Fraction(r) / k_nodes) * weight / comb(k_nodes - 1, q_active - 1)
 
 
 def optimal_file_complexity(k_nodes: int, r: int) -> int:
@@ -225,9 +227,9 @@ class Prop1Report:
     """How close a low-file-complexity construction sits to the tradeoff.
 
     l_ratio = achieved/optimal load; alpha = r*(l_ratio - 1) and must land in
-    [0, 2]. f_construction is the construction's row count, f_optimal =
-    C(K, r), and beta scales their ratio against the Stirling envelope
-    A_q * sqrt(K) * B_q**(-K); it must land in [0, sqrt(2*pi)*e**2].
+    [0, 2]. f_construction is the family's closed-form row count (no array
+    is built), f_optimal = C(K, r), and beta scales their ratio against the
+    Stirling envelope A_q * sqrt(K) * B_q**(-K); it must land in [0, sqrt(2*pi)*e**2].
     """
 
     k_nodes: int
@@ -251,15 +253,12 @@ class Prop1Report:
 
 
 def _family_for(k_nodes: int, r: int):
-    """Pick the construction covering storage load r on k_nodes nodes."""
-    if k_nodes % r == 0:
-        q = k_nodes // r
-        if 2 <= q <= k_nodes - 1:
-            return "P1", q, r  # m = r
-    if k_nodes % (k_nodes - r) == 0:
-        q = k_nodes // (k_nodes - r)
-        if 2 <= q <= k_nodes - 1:
-            return "P2", q, k_nodes - r  # m = K - r
+    """The construction covering storage load r on k_nodes nodes: its family,
+    q and row count F. P1 has m = r and P2 m = K - r, each with q = K/m."""
+    for family, rows, m in (("P1", p1_rows, r), ("P2", p2_rows, k_nodes - r)):
+        q = k_nodes // m
+        if k_nodes % m == 0 and 2 <= q <= k_nodes - 1:
+            return family, q, rows(q, m)
     raise NoMatchingFamilyError(
         f"r/K = {r}/{k_nodes} is not 1/q or (q-1)/q for any q in 2..{k_nodes - 1}")
 
@@ -267,22 +266,22 @@ def _family_for(k_nodes: int, r: int):
 def prop1_check(k_nodes: int, r: int, q_active: int) -> Prop1Report:
     """Evaluate the closeness-to-optimal and file-complexity-reduction claims
     for the low-file-complexity construction matching (K, r), under active-set
-    size Q. Requires K-Q+1 <= r <= K-1 and r/K in {1/q, (q-1)/q}."""
+    size Q. Requires K-Q+1 <= r <= K-1 and r/K in {1/q, (q-1)/q}. Builds no
+    array: f_construction is the family's row count (``p1_rows`` / ``p2_rows``,
+    refused above the cell limit as ``gen`` refuses it)."""
     _check_kq(k_nodes, q_active)
     if not k_nodes - q_active + 1 <= r <= k_nodes - 1:
         raise ParameterError(
             f"r must be in {k_nodes - q_active + 1}..{k_nodes - 1}, got {r}")
-    family, q, m = _family_for(k_nodes, r)
-    pda = _family_instance(family, q, m)
+    family, q, f_construction = _family_for(k_nodes, r)
 
-    pair = achieved_load(pda, q_active)
-    assert pair.r == r
+    # both families are r-regular with T/F = r: P1 has g = m = r, P2 g = m(q-1) = r
+    l_achieved = _load(k_nodes, q_active, r, {r: Fraction(1)})
     l_optimal = optimal_load(k_nodes, q_active, r)
-    l_ratio = pair.l / l_optimal
+    l_ratio = l_achieved / l_optimal
     alpha = r * (l_ratio - 1)
 
     c = Fraction(r, k_nodes)
-    f_construction = pda.f
     f_optimal = optimal_file_complexity(k_nodes, r)
     f_ratio = Fraction(f_construction, f_optimal)
     a_q = math.sqrt(q - 1) / (c * q)
@@ -292,14 +291,9 @@ def prop1_check(k_nodes: int, r: int, q_active: int) -> Prop1Report:
     return Prop1Report(
         k_nodes=k_nodes, r=r, q_active=q_active,
         family=family, q=q, c=c,
-        l_achieved=pair.l, l_optimal=l_optimal, l_ratio=l_ratio, alpha=alpha,
+        l_achieved=l_achieved, l_optimal=l_optimal, l_ratio=l_ratio, alpha=alpha,
         f_construction=f_construction, f_optimal=f_optimal, f_ratio=f_ratio,
         a_q=a_q, b_q=b_q, beta=beta,
         alpha_in_range=0 <= alpha <= 2,
         beta_in_range=0 <= beta <= BETA_BOUND,
     )
-
-
-@functools.cache
-def _family_instance(family: str, q: int, m: int) -> Pda:
-    return p1_pda(q, m) if family == "P1" else p2_pda(q, m)

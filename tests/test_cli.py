@@ -235,7 +235,8 @@ def test_gen_man_oversized_exits_fast(capsys, tmp_path):
     (("gen", "p2", "--q", "2", "--m", "40"), "p2(2,40)"),
     (("gen", "fullstar", "--k", "3", "--f", "100000000"), "fullstar(3,100000000)"),
     (("prop1", "--k", "100", "--r", "50", "--q-active", "60"), "p1(2,50)"),
-], ids=["p1", "p2", "fullstar", "prop1"])
+    (("prop1", "--k", "60", "--r", "40", "--q-active", "30"), "p2(3,20)"),
+], ids=["p1", "p2", "fullstar", "prop1", "prop1-p2"])
 def test_oversized_family_exits_fast(capsys, tmp_path, argv, name):
     out = tmp_path / "out"
     start = time.perf_counter()
@@ -251,7 +252,8 @@ def test_oversized_family_exits_fast(capsys, tmp_path, argv, name):
     (("gen", "p2", "--q", "3", "--m", "10000001"), "p2(3,10000001)"),
     # 10**4999 rows: a count with more digits than int-to-str allows
     (("gen", "p1", "--q", "10", "--m", "5000"), "p1(10,5000)"),
-], ids=["man", "p1", "p2", "p1-unprintable"])
+    (("prop1", "--k", "1000000", "--r", "500000", "--q-active", "500001"), "p1(2,500000)"),
+], ids=["man", "p1", "p2", "p1-unprintable", "prop1"])
 def test_absurd_family_parameters_exit_fast(capsys, tmp_path, argv, name):
     # refused from a cheap lower bound, before the exact row count
     out = tmp_path / "out"

@@ -6,9 +6,12 @@ subset-enumeration oracle at the bottom of this file.
 """
 
 import math
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -349,6 +352,57 @@ def test_prop1_rejections():
         prop1_check(7, 3, 7)  # 3 and 4 both fail to divide 7
     with pytest.raises(NoMatchingFamilyError):
         prop1_check(2, 1, 2)  # would need q = K, outside 2..K-1
+
+
+def prop1_sweep(max_k):
+    """Every (K, r, Q) that ``prop1_check`` admits with K <= max_k, as the
+    criterion-7 sweep and the benchmark visit them, with its report."""
+    for k in range(2, max_k + 1):
+        for r in range(1, k):
+            for q_active in range(k - r + 1, k + 1):
+                try:
+                    rep = prop1_check(k, r, q_active)
+                except NoMatchingFamilyError:
+                    break
+                yield (k, r, q_active), rep
+
+
+def test_prop1_closed_form_matches_the_built_array():
+    checked = 0
+    for (k, r, q_active), rep in prop1_sweep(12):
+        m = r if rep.family == "P1" else k - r
+        pda = (p1_pda if rep.family == "P1" else p2_pda)(rep.q, m)
+        stats = pda_stats(pda)
+        # the two facts the closed form rests on: r-regular, with T/F = r
+        assert stats.regular_g == r and stats.storage_load == r, (k, r, q_active)
+        assert rep.l_achieved == achieved_load(pda, q_active).l, (k, r, q_active)
+        assert rep.f_construction == pda.f, (k, r, q_active)
+        checked += 1
+    assert checked == 89
+
+
+PROP1_WITHOUT_ARRAYS = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import pdamr.constructions
+from test_loads import prop1_sweep
+
+def refuse(raw_grid):
+    raise AssertionError("prop1_check built an array")
+
+pdamr.constructions._finish = refuse
+print(sum(1 for _ in prop1_sweep(24)))
+"""
+
+
+def test_prop1_sweep_builds_no_array():
+    # a subprocess, so that no array cached by another test can answer for one
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", PROP1_WITHOUT_ARRAYS, str(root / "src"), str(root / "tests")],
+        capture_output=True, text=True, cwd=root, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "520\n"
 
 
 def test_tradeoff_terms_count_every_summed_term():
