@@ -188,5 +188,5 @@ def stack_pda(*pdas: Pda) -> Pda:
     for pda in pdas:
         rows += [[entry + offset if entry != STAR else STAR for entry in row]
                  for row in pda.grid]
-        offset += max(pda.occurrences, default=0)
+        offset += max(map(max, pda.grid))  # the part's largest label, 0 if all stars
     return _intake(rows)

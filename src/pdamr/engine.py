@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .bits import Bits, block_stream, le64
 from .loads import LoadPair, _check_kq, achieved_load, comb
-from .pda import ParameterError, Pda, column_subarray
+from .pda import ParameterError, Pda, _column_mask, column_subarray
 
 # Grid cells a measure_loads request may walk, transcripts x F x K; an
 # exhaustive man(12,6) Q=8 walks 5,488,560
@@ -220,16 +220,14 @@ class Placement:
     node_files: dict[int, tuple[int, ...]]  # node -> 1-based file ids
 
 
-def batch_files(row: int, eta: int) -> range:
-    """1-based file ids of 0-based batch ``row``."""
-    return range(row * eta + 1, (row + 1) * eta + 1)
-
-
 def build_placement(pda: Pda, job: JobSpec) -> Placement:
-    """Assign file batches to nodes by the star pattern of the PDA."""
+    """Assign file batches to nodes by the star pattern of the PDA: 0-based
+    row i is files i*eta+1..(i+1)*eta. Every node's tuple holds the same int
+    object for a file id."""
     eta = job_geometry(pda, job, 1).eta  # q = 1 leaves only the F | N check
+    files = list(range(1, job.n_files + 1))
     node_files = {
-        k: tuple(n for row in pda.star_rows(k - 1) for n in batch_files(row, eta))
+        k: tuple(n for row in pda.star_rows(k - 1) for n in files[row * eta:(row + 1) * eta])
         for k in range(1, pda.k + 1)
     }
     return Placement(eta=eta, node_files=node_files)
@@ -237,45 +235,57 @@ def build_placement(pda: Pda, job: JobSpec) -> Placement:
 
 @dataclass(frozen=True)
 class ActiveSetPlan:
-    """Deterministic shuffle plan for one active set, one entry per symbol.
+    """Deterministic shuffle plan for one active set of ``pda``, one entry
+    per symbol.
 
     ``occurrences`` maps each surviving symbol, ascending, to its places
-    (0-based row, 1-based node label) in the active columns; the places keep
-    the array's order, by column. Singletons go to ``singleton_assignment``
-    (symbol -> responsible sender, the smallest active node with a star in
-    that row). For a symbol occurring g >= 2 times the place order labels
-    the parts: the block at place t splits into g-1 equal parts, most
-    significant first, one for the column of each other place, in order.
+    (0-based row, 1-based node label) in the active columns: the array's own
+    place tuples, in the array's order, by node, and the array's own tuple
+    of places when all of them survive. Singletons go to
+    ``singleton_assignment`` (symbol -> responsible sender, the smallest
+    active node with a star in that row). For a symbol occurring g >= 2
+    times the place order labels the parts: the block at place t splits into
+    g-1 equal parts, most significant first, one for the column of each
+    other place, in order.
     """
 
+    pda: Pda
     active: tuple[int, ...]
-    subarray: Pda
     occurrences: dict[int, tuple[tuple[int, int], ...]]
     singleton_assignment: dict[int, int]
     reduce_assignment: dict[int, tuple[int, ...]]
+
+    @cached_property
+    def subarray(self) -> Pda:
+        """The array restricted to the active columns, copied on first read;
+        no transcript reads it."""
+        return column_subarray(self.pda, self.active)
 
 
 def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
     """Build the shuffle/reduce plan for ``active`` (1-based node labels).
 
-    Raises EmptyStarRowError if the restriction to the active columns leaves
-    a row uncovered (the excluded outage case), then checks ``job_geometry``.
+    Raises EmptyStarRowError if some row keeps no star among the active
+    columns (the excluded outage case), checked on the row masks, then
+    checks ``job_geometry``. The plan is a filter of ``pda.occurrences``
+    that builds no place tuple and copies no grid.
     """
     active = tuple(sorted(active))
     q = len(active)
-    subarray = column_subarray(pda, active)
+    active_mask = _column_mask(pda, active)
     job_geometry(pda, job, q)
 
-    active_mask = sum(1 << (k - 1) for k in active)
+    node_mask = active_mask << 1  # bit k set for active node k
     occurrences: dict[int, tuple[tuple[int, int], ...]] = {}
     singleton_assignment: dict[int, int] = {}
-    for sym, occ in pda.occurrences.items():
-        places = [(i, j + 1) for i, j in occ if active_mask >> j & 1]
-        if len(places) == 1:
-            senders = pda.row_star_masks[places[0][0]] & active_mask
+    for sym, places in pda.occurrences.items():
+        kept = [place for place in places if node_mask >> place[1] & 1]
+        if not kept:
+            continue
+        if len(kept) == 1:
+            senders = pda.row_star_masks[kept[0][0]] & active_mask
             singleton_assignment[sym] = (senders & -senders).bit_length()
-        if places:
-            occurrences[sym] = tuple(places)
+        occurrences[sym] = places if len(kept) == len(places) else tuple(kept)
 
     functions = range(1, job.d_functions + 1)
     reduce_assignment = {
@@ -283,8 +293,8 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
     }
 
     return ActiveSetPlan(
+        pda=pda,
         active=active,
-        subarray=subarray,
         occurrences=occurrences,
         singleton_assignment=singleton_assignment,
         reduce_assignment=reduce_assignment,

@@ -10,17 +10,21 @@ ordinary symbol. Canonical arrays label their symbols 1..S in row-major order
 of first occurrence; column subarrays keep the parent's labels, so their label
 sets may have gaps.
 
-One row-major pass (``_scan``) is the only walk over a grid's cells that
-finds its facts: it relabels the symbols, records their occurrences and one
-star bitmask per row, and flags entries that are not symbols. Parsed and
-constructed arrays share one intake (``_intake``), which checks the PDA
-rules per symbol against those masks; ``validate_pda`` and a directly built
-``Pda`` read the same scan. Every ``Pda`` lists its occurrences with the
-symbols ascending, places by ascending column.
+One row-major pass (``_scan``) checks a grid, which may arrive one row at a
+time: it relabels the symbols, records one star bitmask per row and, only
+while the rules are checked, each symbol's rows and column bitmask, and
+flags entries that are not symbols. Parsed and constructed arrays share one
+intake (``_intake``), which checks the PDA rules per symbol against those
+masks and hands the ``Pda`` only its row masks and symbol counts;
+``validate_pda`` reads the same scan. A ``Pda`` builds its places on first
+read, by one pass over its columns that every array shares:
+``Pda.occurrences`` lists them as (0-based row, 1-based node), the symbols
+ascending and each symbol's places by ascending node.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -97,9 +101,11 @@ class EmptyStarRowError(ParameterError):
 @dataclass(frozen=True)
 class Pda:
     """Validated PDA grid, built by ``parse_pda``, the family constructors,
-    ``stack_pda`` or ``column_subarray``; one built directly skips validation.
-    Each fact is computed once per array; the intake hands over its scan's
-    ``occurrences`` (symbols ascending, places by ascending column) and masks."""
+    ``stack_pda`` or ``column_subarray``; one built directly skips validation,
+    and its facts take every entry to be STAR or a positive int. Each fact
+    is computed once per array, when first read. The intake hands
+    over its scan's ``row_star_masks`` and ``s_t``, so of all the facts only
+    ``occurrences`` builds place tuples."""
 
     grid: tuple[tuple[int, ...], ...]
 
@@ -121,20 +127,27 @@ class Pda:
     @cached_property
     def s(self) -> int:
         """Number of distinct ordinary symbols."""
-        return len(self.occurrences)
+        return sum(self.s_t.values())
 
     @cached_property
     def occurrences(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """symbol -> ((row, col), ...), 0-based; symbols ascending, places by column. Read-only."""
-        label_of, places, _, masks, _ = _scan(self.grid)
-        self.__dict__["row_star_masks"] = tuple(masks)  # one scan fills both
-        return {sym: _in_column_order(places[label_of[sym]]) for sym in sorted(label_of)}
+        """symbol -> ((row, node), ...), 0-based row and 1-based node label;
+        symbols ascending, places by ascending node. Built on first read by
+        one pass over the columns, each row's places sharing one int for the
+        row. Read-only: plans hand out these tuples."""
+        places = defaultdict(list)
+        rows = list(range(self.f))
+        for node, column in enumerate(zip(*self.grid), start=1):
+            for i, entry in zip(rows, column):
+                if entry != STAR:
+                    places[entry].append((i, node))
+        return {sym: tuple(places[sym]) for sym in sorted(places)}
 
     @cached_property
     def row_star_masks(self) -> tuple[int, ...]:
         """Per row, a bitmask with bit j set when 0-based column j is a star."""
-        self.occurrences  # its scan fills both
-        return self.__dict__["row_star_masks"]
+        return tuple(sum(1 << j for j, entry in enumerate(row) if entry == STAR)
+                     for row in self.grid)
 
     @cached_property
     def tau(self) -> int:
@@ -145,10 +158,7 @@ class Pda:
     def s_t(self) -> dict[int, int]:
         """Multiplicity t -> number of symbols occurring exactly t times, t
         ascending. Read-only; ``pda_stats`` hands out copies."""
-        s_t: dict[int, int] = {}
-        for places in self.occurrences.values():
-            s_t[len(places)] = s_t.get(len(places), 0) + 1
-        return dict(sorted(s_t.items()))
+        return _multiplicities(map(len, self.occurrences.values()))
 
     @property
     def params(self) -> tuple[int, int, int, int]:
@@ -181,23 +191,30 @@ class PdaStats:
     is_comp: bool
 
 
-def _rule_violations(sym, places, masks) -> list[Violation]:
-    """Rules (a) and (b) for the occurrences ``places`` ((row, col), 0-based,
-    row-major) of one symbol, given each row's star bitmask.
+def _multiplicities(counts) -> dict[int, int]:
+    """Multiplicity t -> number of symbols, t ascending, from each symbol's
+    occurrence count."""
+    return dict(sorted(Counter(counts).items()))
 
-    One pass decides that both hold: the columns are distinct (their mask
-    has one bit per occurrence) and each row holds stars in all the other
-    columns (two occurrences in one row fail this too, since neither cell is
-    a star). Only a symbol that fails has its pairs walked, so the
-    violations, in content and order, are those of the pairwise definition.
+
+def _rule_violations(sym, label, rows, cols, grid, masks) -> list[Violation]:
+    """Rules (a) and (b) for the symbol written ``sym`` in the input and
+    ``label`` in the relabelled ``grid``, which occurs in ``rows`` (0-based,
+    row-major, a row once per occurrence) and in the columns of bitmask
+    ``cols``, given each row's star bitmask.
+
+    The symbol passes iff its column mask has one bit per occurrence and
+    each occurrence row has stars in all of its columns but one: that one is
+    the occurrence's own, which is never a star. This is the pairwise rule
+    set, and it builds no place. Only a symbol that fails has its places
+    walked, row-major, and its pairs listed, so the violations, in content
+    and order, are those of the pairwise definition.
     """
-    cols, common = 0, -1  # common: columns starred or occupied in every row
-    for i, j in places:
-        bit = 1 << j
-        cols |= bit
-        common &= masks[i] | bit
-    if cols.bit_count() == len(places) and cols & common == cols:
+    if cols.bit_count() == len(rows) and all(
+            (cols & ~masks[i]).bit_count() == 1 for i in rows):
         return []
+    places = [(i, j) for i in dict.fromkeys(rows)
+              for j, entry in enumerate(grid[i]) if entry == label]
     violations = []
     for a in range(len(places)):
         i1, j1 = places[a]
@@ -219,22 +236,25 @@ def _rule_violations(sym, places, masks) -> list[Violation]:
 
 
 def _scan(rows):
-    """The one pass over a grid's cells, row-major. Returns
-    ``(label_of, places, grid, masks, bad)``:
+    """The one pass over a grid's cells, row-major; ``rows`` may be a
+    stream. Returns ``(label_of, grid, masks, rows_of, cols_of, bad)``:
 
     label_of  symbol entry -> label 1..S, in first-occurrence order
-    places    label -> list of its (row, col) occurrences, 0-based; places[0]
-              is None
-    grid      the rows relabelled, star cells kept as they are
+    grid      the rows relabelled, as tuples; star cells kept as they are,
+              a cell whose entry is not a symbol None
     masks     per row, a bitmask with bit j set when column j is a star
+    rows_of   label -> list of the 0-based rows of its occurrences,
+              row-major, a row once per occurrence; rows_of[0] is None
+    cols_of   label -> bitmask of the columns it occurs in
     bad       a "symbol" Violation per entry that is neither STAR nor a
-              positive int, row-major; such a cell keeps its entry
+              positive int, row-major
 
     An entry's type is tested before it is hashed, so 1.0 never merges with
     1 and an unhashable entry is reported, not raised.
     """
     label_of: dict = {}
-    places: list = [None]
+    rows_of: list = [None]
+    cols_of: list = [0]
     grid, masks, bad = [], [], []
     for i, row in enumerate(rows):
         mask = 0
@@ -243,25 +263,23 @@ def _scan(rows):
             if entry == STAR:
                 mask |= 1 << j
             elif not isinstance(entry, int) or entry < 0:
+                labels[j] = None
                 bad.append(Violation(
                     "symbol", (i + 1,), (j + 1,),
                     f"entry at ({i + 1},{j + 1}) is not a star or a positive integer"))
             else:
                 label = label_of.get(entry)
                 if label is None:
-                    label = label_of[entry] = len(places)
-                    places.append([(i, j)])
+                    label = label_of[entry] = len(rows_of)
+                    rows_of.append([i])
+                    cols_of.append(1 << j)
                 else:
-                    places[label].append((i, j))
+                    rows_of[label].append(i)
+                    cols_of[label] |= 1 << j
                 labels[j] = label
         grid.append(tuple(labels))
         masks.append(mask)
-    return label_of, places, grid, masks, bad
-
-
-def _in_column_order(places) -> tuple[tuple[int, int], ...]:
-    """One symbol's row-major places by ascending column (a stable sort)."""
-    return tuple(sorted(places, key=itemgetter(1)))
+    return label_of, grid, masks, rows_of, cols_of, bad
 
 
 def validate_pda(grid, require_canonical: bool = True) -> ValidationReport:
@@ -279,10 +297,12 @@ def validate_pda(grid, require_canonical: bool = True) -> ValidationReport:
     if any(len(row) != width for row in rows):
         raise ValueError("grid must be rectangular")
 
-    label_of, places, _, masks, violations = _scan(rows)
+    label_of, labelled, masks, rows_of, cols_of, violations = _scan(rows)
     symbols = sorted(label_of)
     for sym in symbols:
-        violations += _rule_violations(sym, places[label_of[sym]], masks)
+        label = label_of[sym]
+        violations += _rule_violations(sym, label, rows_of[label], cols_of[label],
+                                       labelled, masks)
 
     if require_canonical and symbols:
         for before, after in zip([0] + symbols, symbols):  # one violation per gap
@@ -293,7 +313,8 @@ def validate_pda(grid, require_canonical: bool = True) -> ValidationReport:
                     "coverage", (), (), f"{gap} (labels must cover 1..{symbols[-1]})"))
         for expected, sym in enumerate(label_of, start=1):  # first-occurrence order
             if sym != expected:
-                i, j = places[expected][0]
+                i = rows_of[expected][0]
+                j = labelled[i].index(expected)
                 violations.append(Violation(
                     "numbering", (i + 1,), (j + 1,),
                     f"symbol {sym} first occurs at ({i + 1},{j + 1}) out of "
@@ -306,26 +327,26 @@ def validate_pda(grid, require_canonical: bool = True) -> ValidationReport:
 
 def _intake(rows) -> Pda:
     """The validated canonical ``Pda`` of a nonempty rectangular grid whose
-    entries are STAR or positive ints.
+    entries are STAR or positive ints; ``rows`` may be a stream.
 
     ``_scan`` renumbers the symbols 1..S by first occurrence and records each
-    symbol's places, row-major, and each row's star mask; ``_rule_violations``
-    checks each symbol, in O(cells + sum of multiplicities) unless a rule
-    breaks. Raises PdaValidationError listing every violation: any "symbol"
-    ones of the scan, then the rules in label order, each naming its symbol
-    as the grid wrote it. Only a valid grid has its places put in column order.
+    row's star mask and, for the check, each symbol's rows and column mask;
+    ``_rule_violations`` checks each symbol, in O(cells + sum of
+    multiplicities) unless a rule breaks. Raises PdaValidationError listing
+    every violation: any "symbol" ones of the scan, then the rules in label
+    order, each naming its symbol as the grid wrote it. The ``Pda`` gets only
+    the row masks and the symbol counts; it builds its places when read.
     """
-    label_of, places, grid, masks, violations = _scan(rows)
+    label_of, grid, masks, rows_of, cols_of, violations = _scan(rows)
     for entry, label in label_of.items():  # labels 1..S in order
-        violations += _rule_violations(entry, places[label], masks)
+        violations += _rule_violations(entry, label, rows_of[label], cols_of[label],
+                                       grid, masks)
     if violations:
         raise PdaValidationError(ValidationReport(tuple(violations), None))
-    occurrences: dict[int, tuple[tuple[int, int], ...]] = {}
-    for label in label_of.values():  # keys share the grid's ints; each list goes once copied
-        occurrences[label], places[label] = _in_column_order(places[label]), None
     pda = Pda(tuple(grid))
     # seed the cached properties with what the scan found (Pda is frozen)
-    pda.__dict__.update(occurrences=occurrences, row_star_masks=tuple(masks))
+    pda.__dict__.update(row_star_masks=tuple(masks),
+                        s_t=_multiplicities(map(len, rows_of[1:])))
     return pda
 
 
@@ -346,50 +367,20 @@ def _token_column(line: str, tokens: list[str], index: int) -> int:
     return line.index(tokens[index], pos) + 1
 
 
-def parse_pda(text) -> Pda:
-    """Parse PDA text: a header line ``F K`` followed by F rows of K
-    whitespace-separated tokens, each ``*`` or a positive integer. Lines
-    starting with ``#`` and blank lines are ignored. The text must be ASCII,
-    as ``bytes`` or ``str``. Symbols are renumbered canonically; the grid is
-    then validated.
-    """
-    if isinstance(text, (bytes, bytearray)):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise PdaFormatError(f"PDA text is not ASCII: {exc}") from None
-    elif not text.isascii():
-        pos = next(pos for pos, char in enumerate(text) if not char.isascii())
-        raise PdaFormatError(f"PDA text is not ASCII: {text[pos]!r} at character {pos + 1}")
-
-    lines = []  # (1-based line number, content)
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _content(lines):
+    """(1-based line number, line) of each line that is neither blank nor a
+    ``#`` comment."""
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append((lineno, line))
+        if stripped and not stripped.startswith("#"):
+            yield lineno, line
 
-    if not lines:
-        raise PdaFormatError("empty PDA file")
 
-    header_no, header = lines[0]
-    fields = header.split()
-    if len(fields) != 2:
-        raise PdaFormatError("header must be 'F K'", line=header_no)
-    try:
-        f, k = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise PdaFormatError("header must hold two integers", line=header_no) from None
-    if f < 1 or k < 1:
-        raise PdaFormatError(f"degenerate dimensions {f}x{k}", line=header_no)
-
-    body = lines[1:]
-    if len(body) != f:
-        raise PdaFormatError(f"expected {f} grid rows, found {len(body)}",
-                             line=body[-1][0] if body else header_no)
-
+def _tokenized_rows(body, k: int):
+    """The entries of each body line, one row at a time: STAR or a positive
+    int per token. Raises PdaFormatError at the first row that is not K
+    such tokens."""
     entry_of = {"*": STAR}  # token -> its entry, for every token seen so far
-    grid = []
     for lineno, line in body:
         tokens = line.split()
         if len(tokens) != k:
@@ -403,8 +394,53 @@ def parse_pda(text) -> Pda:
                         raise PdaFormatError(f"bad entry {token!r}", line=lineno,
                                              column=_token_column(line, tokens, index))
                     row[index] = entry_of[token] = entry
-        grid.append(row)
-    return _intake(grid)
+        yield row
+
+
+def parse_pda(text) -> Pda:
+    """Parse PDA text: a header line ``F K`` followed by F rows of K
+    whitespace-separated tokens, each ``*`` or a positive integer. Lines
+    starting with ``#`` and blank lines are ignored. The text must be ASCII,
+    as ``bytes`` or ``str``.
+
+    The header is checked and the rows counted first; then the rows are
+    tokenized one at a time into the intake, which renumbers the symbols
+    canonically and validates the grid. No raw grid is kept, and a
+    PdaFormatError anywhere in the text wins over any PdaValidationError.
+    """
+    if isinstance(text, (bytes, bytearray)):
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise PdaFormatError(f"PDA text is not ASCII: {exc}") from None
+    elif not text.isascii():
+        pos = next(pos for pos, char in enumerate(text) if not char.isascii())
+        raise PdaFormatError(f"PDA text is not ASCII: {text[pos]!r} at character {pos + 1}")
+
+    lines = text.splitlines()
+    body = _content(lines)
+    header_no, header = next(body, (None, None))
+    if header is None:
+        raise PdaFormatError("empty PDA file")
+    fields = header.split()
+    if len(fields) != 2:
+        raise PdaFormatError("header must be 'F K'", line=header_no)
+    try:
+        f, k = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise PdaFormatError("header must hold two integers", line=header_no) from None
+    if f < 1 or k < 1:
+        raise PdaFormatError(f"degenerate dimensions {f}x{k}", line=header_no)
+
+    found, last_no = 0, header_no
+    for last_no, _ in body:
+        found += 1
+    if found != f:
+        raise PdaFormatError(f"expected {f} grid rows, found {found}", line=last_no)
+
+    body = _content(lines)
+    next(body)  # the header
+    return _intake(_tokenized_rows(body, k))
 
 
 def render_pda(pda: Pda) -> str:
@@ -430,13 +466,10 @@ def pda_stats(pda: Pda) -> PdaStats:
     )
 
 
-def column_subarray(pda: Pda, nodes) -> Pda:
-    """Restrict to the columns in ``nodes`` (1-based labels, kept in the given
-    order). Symbols keep their parent labels so occurrence counts in the
-    subarray can be compared with the full array. Raises EmptyStarRowError if
-    some row loses all its stars.
-    """
-    nodes = list(nodes)
+def _column_mask(pda: Pda, nodes) -> int:
+    """Bitmask of ``nodes`` (1-based labels; bit node-1). Raises
+    ParameterError unless they are nonempty, distinct and in 1..K, and
+    EmptyStarRowError if some row keeps no star among them."""
     if not nodes:
         raise ParameterError("nodes must be nonempty")
     if len(set(nodes)) != len(nodes):
@@ -444,11 +477,21 @@ def column_subarray(pda: Pda, nodes) -> Pda:
     for node in nodes:
         if not 1 <= node <= pda.k:
             raise ParameterError(f"node {node} outside 1..{pda.k}")
-
     kept = sum(1 << (node - 1) for node in nodes)
     for i, mask in enumerate(pda.row_star_masks):
         if not mask & kept:
             raise EmptyStarRowError(i + 1)
+    return kept
+
+
+def column_subarray(pda: Pda, nodes) -> Pda:
+    """Restrict to the columns in ``nodes`` (1-based labels, kept in the given
+    order). Symbols keep their parent labels so occurrence counts in the
+    subarray can be compared with the full array. Raises EmptyStarRowError if
+    some row loses all its stars.
+    """
+    nodes = list(nodes)
+    _column_mask(pda, nodes)
     if len(nodes) == 1:  # itemgetter of one index returns the entry, not a tuple
         j = nodes[0] - 1
         return Pda(tuple((row[j],) for row in pda.grid))

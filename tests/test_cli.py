@@ -125,6 +125,19 @@ def test_stats(capsys, ex1_path):
     assert results["storage_load"]["exact"] == "2"
 
 
+def test_array_commands_build_no_places(capsys, ex1_path, monkeypatch):
+    # validate, stats and analyze read the intake's row masks and symbol
+    # counts; none of them builds the array's place tuples
+    def refuse(pda):
+        raise AssertionError("Pda.occurrences read")
+
+    monkeypatch.setattr(pdamr.Pda, "occurrences", property(refuse))
+    for argv in (["validate"], ["stats"], ["analyze", "--q", "3"]):
+        code, stdout, _ = run(capsys, *argv, "--pda", ex1_path)
+        assert code == 0, argv
+        assert json.loads(stdout)["results"]
+
+
 def test_subarray(capsys, ex1_path):
     code, stdout, _ = run(capsys, "subarray", "--pda", ex1_path,
                           "--nodes", "1,2,4")

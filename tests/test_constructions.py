@@ -170,7 +170,7 @@ def test_cross_star_subgrid_exhaustive():
             for i1, j1 in places:
                 for i2, j2 in places:
                     if (i1, j1) != (i2, j2):
-                        assert pda.grid[i1][j2] == STAR
+                        assert pda.grid[i1][j2 - 1] == STAR
 
 
 def test_p1_beats_subset_family_file_count():
@@ -217,7 +217,9 @@ def test_other_families_share_the_inclusive_cell_limit(monkeypatch, build, args,
 
 
 def test_cell_limit_admits_largest_prop1_array():
-    # p2(3,8), the largest family array of the benchmark's prop1 sweep
+    # the largest row count the benchmark's prop1 sweep reads through
+    # p2_rows, p2(3,8) at K = 24 (it builds no array); the cell limit must
+    # admit it, or the sweep would be refused
     assert (3 - 1) * 3 ** 7 * 24 == 104_976 <= constructions.MAX_CELLS
 
 

@@ -26,6 +26,7 @@ from pdamr import (
     Workload,
     block_stream,
     build_placement,
+    column_subarray,
     full_star_pda,
     job_geometry,
     le64,
@@ -64,6 +65,17 @@ def test_placement_example():
     assert placement.node_files[2] == (1, 4, 5)
     assert placement.node_files[3] == (2, 4, 6)
     assert placement.node_files[4] == (3, 5, 6)
+
+
+def test_placement_shares_each_file_id():
+    # one int object per file id in every node's tuple; ids above 256 are
+    # distinct objects unless they are shared
+    placement = build_placement(EX1, JobSpec(600, 3, 8, 8, 8, 0))
+    first = {}
+    for files in placement.node_files.values():
+        for n in files:
+            assert first.setdefault(n, n) is n
+    assert sorted(first) == list(range(1, 601))
 
 
 def test_placement_all_star_small():
@@ -732,8 +744,8 @@ def reference_plan(pda, active, job):
             (i, _), = places
             singleton_assignment[sym] = next(k for k in active if pda.grid[i][k - 1] == STAR)
     return engine.ActiveSetPlan(
+        pda=pda,
         active=active,
-        subarray=Pda(tuple(tuple(row[k - 1] for k in active) for row in pda.grid)),
         occurrences=occurrences,
         singleton_assignment=singleton_assignment,
         reduce_assignment={k: tuple(d for d in range(1, job.d_functions + 1)
@@ -777,6 +789,8 @@ def assert_plans_match_reference(pda):
                 assert got == expected, field.name
                 if isinstance(expected, dict):
                     assert list(got) == list(expected), field.name
+            assert plan.subarray == Pda(tuple(tuple(row[k - 1] for k in active)
+                                              for row in pda.grid))
 
 
 FIXED_PDAS = pytest.mark.parametrize(
@@ -812,7 +826,7 @@ def assert_plan_filters_in_order(pda):
                 plan = plan_active_set(pda, active, job)
             except EmptyStarRowError:
                 continue
-            kept = ((sym, tuple((i, j + 1) for i, j in places if j + 1 in active))
+            kept = ((sym, tuple(place for place in places if place[1] in active))
                     for sym, places in pda.occurrences.items())
             assert list(plan.occurrences.items()) == [(sym, p) for sym, p in kept if p]
 
@@ -826,6 +840,45 @@ def test_plan_is_an_in_order_filter(pda):
 @given(MIXED_MULTIPLICITY_PDAS)
 def test_plan_of_random_arrays_is_an_in_order_filter(pda):
     assert_plan_filters_in_order(pda)
+
+
+@pytest.mark.parametrize("pda", [man_pda(6, 3), MIXED], ids=["man-6-3", "mixed-stack"])
+def test_plan_shares_the_array_places(pda):
+    # a plan makes no place tuple: every place is one of the array's, and a
+    # symbol whose places all survive keeps the array's own tuple
+    own = {id(place): place for places in pda.occurrences.values() for place in places}
+    shared = 0
+    for q in range(1, pda.k + 1):
+        job = plan_job(pda, q)
+        for active in itertools.combinations(range(1, pda.k + 1), q):
+            try:
+                plan = plan_active_set(pda, active, job)
+            except EmptyStarRowError:
+                continue
+            for sym, places in plan.occurrences.items():
+                assert all(own.get(id(place)) is place for place in places)
+                if len(places) == len(pda.occurrences[sym]):
+                    assert places is pda.occurrences[sym]
+                    shared += 1
+    assert shared
+
+
+def test_plans_copy_no_grid(monkeypatch):
+    # no transcript reads a plan's subarray, so planning never copies one;
+    # it is computed when read
+    def refuse(*args):
+        raise AssertionError("column_subarray called")
+
+    monkeypatch.setattr(engine, "column_subarray", refuse)
+    for q, job in pinned_jobs(MIXED, (4, 5)):
+        report = measure_loads(MIXED, job, q)
+        assert report.mode == "exhaustive"
+        assert report.match and report.all_reference_match
+    monkeypatch.undo()
+    for q, job in pinned_jobs(MIXED, (4, 5)):
+        for active in itertools.combinations(range(1, MIXED.k + 1), q):
+            plan = plan_active_set(MIXED, active, job)
+            assert plan.subarray == column_subarray(MIXED, active)
 
 
 def test_plan_holds_one_entry_per_symbol():

@@ -187,7 +187,7 @@ def brute_force_load(pda, q_active):
     """Independent oracle: enumerate active sets and count signal lengths in
     units of one block, straight from the per-symbol length law."""
     total = Fraction(0)
-    for active in combinations(range(pda.k), q_active):
+    for active in combinations(range(1, pda.k + 1), q_active):
         chosen = set(active)
         for places in pda.occurrences.values():
             g = sum(1 for _, c in places if c in chosen)

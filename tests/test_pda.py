@@ -12,6 +12,7 @@ from pdamr import (
     Pda,
     PdaFormatError,
     PdaValidationError,
+    achieved_load,
     column_subarray,
     man_pda,
     full_star_pda,
@@ -20,6 +21,7 @@ from pdamr import (
     parse_pda,
     pda_stats,
     render_pda,
+    stack_pda,
     validate_pda,
 )
 
@@ -87,6 +89,10 @@ def test_parse_rejects_repeated_symbol_in_row():
     ("1 2\n* 0\n", "bad entry"),
     ("1 2\n* -1\n", "bad entry"),
     ("1 2\n* x\n", "bad entry"),
+    # the row count is checked before any row is tokenized
+    ("2 2\n* 1\n1 x\n* *\n", "expected 2 grid rows"),
+    # a format error wins over a rule broken by an earlier row
+    ("2 2\n1 1\n* x\n", "bad entry"),
 ])
 def test_parse_syntax_errors(text, fragment):
     with pytest.raises(PdaFormatError) as err:
@@ -300,8 +306,8 @@ def test_cached_facts_of_unvalidated_grid():
     pda = Pda(((STAR, 5, STAR), (5, STAR, 7), (STAR, STAR, STAR)))
     assert pda.row_star_masks == (0b101, 0b010, 0b111)
     assert (pda.tau, pda.t, pda.s_t) == (1, 6, {1: 1, 2: 1})
-    # places by ascending column, not in the scan's row-major order
-    assert pda.occurrences == {5: ((1, 0), (0, 1)), 7: ((1, 2),)}
+    # (0-based row, 1-based node), places by ascending node, not row-major
+    assert pda.occurrences == {5: ((1, 1), (0, 2)), 7: ((1, 3),)}
     # symbols ascending, not in the order of their first occurrence
     assert tuple(Pda(((9, STAR), (STAR, 3))).occurrences) == (3, 9)
 
@@ -311,3 +317,22 @@ def test_pda_helpers():
     assert pda.star_rows(0) == (0, 1, 2)
     assert pda.row_star_masks[5].bit_count() == 2
     assert Pda(EXAMPLE_GRID) == pda
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_pda(EXAMPLE_TEXT),
+    lambda: man_pda(6, 3),
+    lambda: stack_pda(man_pda(5, 2), man_pda(5, 3), full_star_pda(5, 1)),
+], ids=["parsed", "man-6-3", "stacked"])
+def test_facts_build_no_places(build):
+    # the intake hands over the row masks and symbol counts; places are
+    # built only when ``occurrences`` is read
+    pda = build()
+    stacked = stack_pda(pda, pda)
+    for array in (pda, stacked):
+        pda_stats(array)
+        achieved_load(array, array.k)
+        render_pda(array)
+        assert array.params == Pda(array.grid).params
+        assert "occurrences" not in array.__dict__
+    assert list(pda.occurrences.items()) == list(Pda(pda.grid).occurrences.items())
