@@ -1,8 +1,8 @@
 """Builders for the standard Comp-PDA families.
 
-All constructors return canonical, validated arrays with deterministic row
-order (lexicographic in the row index objects), so equal parameters always
-produce byte-identical renderings.
+All constructors stream their rows into the intake, which canonicalizes and
+validates them, in a deterministic row order (lexicographic in the row index
+objects), so equal parameters always produce byte-identical renderings.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ def _check_cells(name: str, count_rows, k_nodes: int, row_bits: int) -> int:
     return cells // k_nodes
 
 
-def _finish(raw_grid) -> Pda:
-    """Canonicalize and validate; a failure here is a construction bug."""
+def _finish(rows) -> Pda:
+    """Canonicalize and validate streamed rows; a failure is a construction bug."""
     try:
-        return _intake(raw_grid)
+        return _intake(rows)
     except PdaValidationError as exc:
         raise AssertionError(
             f"constructed grid is not a valid PDA:\n{exc.report.summary()}") from None
@@ -47,9 +47,10 @@ def _finish(raw_grid) -> Pda:
 
 def man_pda(k_nodes: int, i: int) -> Pda:
     """Subset-indexed PDA on ``k_nodes`` columns: rows are the size-``i``
-    subsets of the nodes in lexicographic order, stars mark membership, and
-    the entry for node k outside row subset T is the lexicographic rank of
-    T | {k} among the size-(i+1) subsets.
+    subsets T of the nodes in lexicographic order, stars mark membership,
+    and node k outside T gets T | {k}, named by its column bitmask. The
+    intake's first-occurrence relabel makes that name the lexicographic rank
+    of T | {k} among the size-(i+1) subsets.
 
     For i < K the result is (i+1)-regular with parameters
     (K, C(K,i), K*C(K-1,i-1), C(K,i+1)); for i = K it is the all-star 1xK
@@ -59,19 +60,13 @@ def man_pda(k_nodes: int, i: int) -> Pda:
         raise ParameterError("k_nodes must be >= 1")
     if not 1 <= i <= k_nodes:
         raise ParameterError(f"i must be in 1..{k_nodes}, got {i}")
-    # C(K,i) >= 2**min(i,K-i); the rank table's C(K,i+1) <= C(K,i)*K is bounded too
+    # C(K,i) >= 2**min(i,K-i)
     _check_cells(f"man({k_nodes},{i})", lambda: math.comb(k_nodes, i), k_nodes,
                  min(i, k_nodes - i) + 1)
 
-    nodes = range(1, k_nodes + 1)
-    grid = [[STAR] * k_nodes for _ in range(math.comb(k_nodes, i))]
-    row_of = {subset: grid[r] for r, subset in enumerate(combinations(nodes, i))}
-    # the (i+1)-subset S of rank r sits in row S - {k}, column k, for each k
-    # in S; combinations(S, i) drops the members of S from the last one down
-    for r, subset in enumerate(combinations(nodes, i + 1), start=1):
-        for rest, k in zip(combinations(subset, i), reversed(subset)):
-            row_of[rest][k - 1] = r
-    return _finish(grid)
+    bits = [1 << k for k in range(k_nodes)]
+    masks = map(sum, combinations(bits, i))  # row T's star mask, T in order
+    return _finish([STAR if mask & bit else mask | bit for bit in bits] for mask in masks)
 
 
 def _grid_columns(q: int, m: int) -> list[tuple[int, int, int]]:
@@ -123,14 +118,14 @@ def p1_pda(q: int, m: int) -> Pda:
     # the loop below visits q**m = q * F vectors, at most the cell count
     f_rows = p1_rows(q, m)
     columns = _grid_columns(q, m)
-    grid = []
-    for b in product(range(q), repeat=m):
-        if sum(b) % q != 0:
-            continue
-        name = _name(b, q)
-        grid.append([STAR if b[i - 1] == j else name + (j - b[i - 1]) * weight
-                     for i, j, weight in columns])
-    pda = _finish(grid)
+
+    def rows():
+        for b in product(range(q), repeat=m):
+            if sum(b) % q == 0:
+                name = _name(b, q)
+                yield [STAR if b[i - 1] == j else name + (j - b[i - 1]) * weight
+                       for i, j, weight in columns]
+    pda = _finish(rows())
     expected = (m * q, f_rows, m * f_rows, (q - 1) * f_rows)
     if pda.params != expected:
         raise AssertionError(f"p1_pda({q},{m}) parameters {pda.params} != {expected}")
@@ -149,16 +144,16 @@ def p2_pda(q: int, m: int) -> Pda:
     """
     f_rows = p2_rows(q, m)
     columns = _grid_columns(q, m)
-    grid = []
-    for b in product(range(q), repeat=m):
-        total = sum(b) % q
-        if total == 0:
-            continue
-        name = _name(b, q)
-        # at j = b_i the fix is (j - total) mod q
-        grid.append([STAR if b[i - 1] != j else name + ((j - total) % q - j) * weight
-                     for i, j, weight in columns])
-    pda = _finish(grid)
+
+    def rows():
+        for b in product(range(q), repeat=m):
+            total = sum(b) % q
+            if total:
+                name = _name(b, q)
+                # at j = b_i the fix is (j - total) mod q
+                yield [STAR if b[i - 1] != j else name + ((j - total) % q - j) * weight
+                       for i, j, weight in columns]
+    pda = _finish(rows())
     expected = (m * q, f_rows, m * (q - 1) * f_rows, f_rows // (q - 1))
     if pda.params != expected:
         raise AssertionError(f"p2_pda({q},{m}) parameters {pda.params} != {expected}")
@@ -171,7 +166,7 @@ def full_star_pda(k_nodes: int, f_rows: int) -> Pda:
         raise ParameterError("k_nodes and f_rows must be >= 1")
     _check_cells(f"fullstar({k_nodes},{f_rows})", lambda: f_rows, k_nodes,
                  f_rows.bit_length())
-    return _finish([[STAR] * k_nodes for _ in range(f_rows)])
+    return _finish([STAR] * k_nodes for _ in range(f_rows))
 
 
 def stack_pda(*pdas: Pda) -> Pda:
@@ -184,9 +179,11 @@ def stack_pda(*pdas: Pda) -> Pda:
     widths = sorted({pda.k for pda in pdas})
     if len(widths) > 1:
         raise ParameterError(f"stacked PDAs need equal K, got K in {widths}")
-    rows, offset = [], 0
-    for pda in pdas:
-        rows += [[entry + offset if entry != STAR else STAR for entry in row]
-                 for row in pda.grid]
-        offset += max(map(max, pda.grid))  # the part's largest label, 0 if all stars
-    return _intake(rows)
+
+    def rows():
+        offset = 0
+        for pda in pdas:
+            for row in pda.grid:
+                yield [entry + offset if entry != STAR else STAR for entry in row]
+            offset += max(map(max, pda.grid))  # the part's largest label, 0 if all stars
+    return _intake(rows())

@@ -350,13 +350,13 @@ def _intake(rows) -> Pda:
     return pda
 
 
-def _symbol(token: str) -> int | None:
-    """The label an ASCII token spells, or None unless it is a positive integer."""
+def _number(token: str) -> int | None:
+    """The int an ASCII token spells in decimal digits, or None for any other
+    token (a sign, an underscore, or more digits than int() converts)."""
     try:
-        value = int(token) if token.isdigit() else 0
-    except ValueError:  # more digits than int() converts
+        return int(token) if token.isdigit() else None
+    except ValueError:
         return None
-    return value if value > 0 else None
 
 
 def _token_column(line: str, tokens: list[str], index: int) -> int:
@@ -389,8 +389,8 @@ def _tokenized_rows(body, k: int):
         if None in row:
             for index, token in enumerate(tokens):
                 if row[index] is None:
-                    entry = _symbol(token)
-                    if entry is None:
+                    entry = _number(token)
+                    if not entry:  # not a positive integer
                         raise PdaFormatError(f"bad entry {token!r}", line=lineno,
                                              column=_token_column(line, tokens, index))
                     row[index] = entry_of[token] = entry
@@ -399,7 +399,8 @@ def _tokenized_rows(body, k: int):
 
 def parse_pda(text) -> Pda:
     """Parse PDA text: a header line ``F K`` followed by F rows of K
-    whitespace-separated tokens, each ``*`` or a positive integer. Lines
+    whitespace-separated tokens, each ``*`` or a positive integer; every
+    integer, F and K included, is written in decimal digits alone. Lines
     starting with ``#`` and blank lines are ignored. The text must be ASCII,
     as ``bytes`` or ``str``.
 
@@ -425,10 +426,9 @@ def parse_pda(text) -> Pda:
     fields = header.split()
     if len(fields) != 2:
         raise PdaFormatError("header must be 'F K'", line=header_no)
-    try:
-        f, k = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise PdaFormatError("header must hold two integers", line=header_no) from None
+    f, k = map(_number, fields)  # decimal digits, as a body token
+    if f is None or k is None:
+        raise PdaFormatError("header must hold two integers", line=header_no)
     if f < 1 or k < 1:
         raise PdaFormatError(f"degenerate dimensions {f}x{k}", line=header_no)
 

@@ -1,6 +1,7 @@
 """PDA family constructors: exact grids, parameter tuples, validity."""
 
 import hashlib
+import itertools
 import math
 
 import pytest
@@ -35,6 +36,18 @@ EXAMPLE_GRID = (
 
 def test_man_reproduces_example_grid():
     assert man_pda(4, 2).grid == EXAMPLE_GRID
+
+
+def test_man_entries_are_lexicographic_ranks():
+    # row T, column k outside T: the 1-based rank of T | {k} among the
+    # (i+1)-subsets in lexicographic order
+    for k in range(1, 11):
+        for i in range(1, k + 1):
+            rank = {s: r for r, s in enumerate(itertools.combinations(range(k), i + 1), 1)}
+            grid = tuple(tuple(STAR if node in row else rank[tuple(sorted(row + (node,)))]
+                               for node in range(k))
+                         for row in itertools.combinations(range(k), i))
+            assert man_pda(k, i).grid == grid, (k, i)
 
 
 def test_man_trivial_when_i_equals_k():

@@ -13,6 +13,7 @@ import dataclasses
 import re
 
 from hypothesis import given, settings, strategies as st
+from random_pdas import balanced_comp_pdas, comp_pdas
 
 from pdamr import (
     STAR,
@@ -194,3 +195,14 @@ def test_parse_matches_relabel_then_pairwise_reference(grid):
 def test_intake_facts_of_families():
     for pda in (man_pda(6, 3), p2_pda(3, 2), man_pda(4, 4), full_star_pda(3, 2)):
         assert_same_facts(pda)
+
+
+@settings(max_examples=100)
+@given(st.one_of(comp_pdas(), balanced_comp_pdas()), st.data())
+def test_any_injective_naming_parses_to_the_same_grid(pda, data):
+    # the first-occurrence relabel is the only labelling rule: the symbols
+    # may be named by any distinct positive ints, of any size, in any order
+    names = data.draw(st.lists(st.integers(1, 2 ** 70), min_size=pda.s,
+                               max_size=pda.s, unique=True))
+    renamed = [[STAR if e == STAR else names[e - 1] for e in row] for row in pda.grid]
+    assert parse_pda(render_raw(renamed)).grid == pda.grid

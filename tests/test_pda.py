@@ -82,6 +82,8 @@ def test_parse_rejects_repeated_symbol_in_row():
     ("2 2 2\n", "header"),
     ("2 x\n* *\n", "header must hold two integers"),
     ("1.5 2\n* *\n", "header must hold two integers"),
+    ("1_0 2\n" + "* *\n" * 10, "header must hold two integers"),
+    ("+2 2\n* *\n* *\n", "header must hold two integers"),
     ("0 3\n", "degenerate"),
     ("3 0\n", "degenerate"),
     ("2 2\n* *\n", "expected 2 grid rows"),
