@@ -12,7 +12,9 @@ All reports are deterministic: one encoder, ``emit_json``, renders every
 rational as a lowest-terms "p/q" string with a 15-significant-digit decimal,
 JSON output is byte-stable for identical inputs, and CSV uses '.' decimals
 with a header row. Library records are printed as they are, through
-``dataclasses.asdict``.
+``dataclasses.asdict``. One writer, ``emit_report``, wraps every JSON
+report, whose ``inputs`` echo every parsed flag but ``--out`` and
+``--format``; ``build_parser`` declares ``--out`` once, for every command.
 """
 
 from __future__ import annotations
@@ -68,16 +70,6 @@ def rat(x) -> dict:
             "decimal": f"{float(frac):.15g}"}
 
 
-def envelope(command: str, inputs: dict, results: dict) -> dict:
-    return {
-        "tool": "pdamr",
-        "version": __version__,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-    }
-
-
 def emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -90,6 +82,15 @@ def emit_json(payload: dict, out_path: str | None) -> None:
     """Write ``payload`` as sorted, indented JSON; every Fraction in it is
     rendered by ``rat``, and any other non-JSON value raises TypeError."""
     emit(json.dumps(payload, indent=2, sort_keys=True, default=rat) + "\n", out_path)
+
+
+def emit_report(args, results: dict) -> None:
+    """Write the JSON report of ``args.command``. Its ``inputs`` echo every
+    parsed flag but the output options, so a new flag needs no edit here."""
+    inputs = {name: value for name, value in vars(args).items()
+              if name not in ("command", "func", "out", "format")}
+    emit_json({"tool": "pdamr", "version": __version__, "command": args.command,
+               "inputs": inputs, "results": results}, args.out)
 
 
 def read_pda(path: str):
@@ -127,19 +128,16 @@ def cmd_validate(args) -> int:
     try:
         pda = read_pda(args.pda)
     except PdaValidationError as exc:
-        payload = envelope("validate", {"pda": args.pda}, {
-            "ok": False, "violations": [asdict(v) for v in exc.report.violations]})
-        emit_json(payload, args.out)
+        emit_report(args, {"ok": False,
+                           "violations": [asdict(v) for v in exc.report.violations]})
         return EXIT_VALIDATION
-    payload = envelope("validate", {"pda": args.pda},
-                       {"ok": True, **stats_results(pda)})
-    emit_json(payload, args.out)
+    emit_report(args, {"ok": True, **stats_results(pda)})
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
     pda = read_pda(args.pda)
-    emit_json(envelope("stats", {"pda": args.pda}, stats_results(pda)), args.out)
+    emit_report(args, stats_results(pda))
     return EXIT_OK
 
 
@@ -171,12 +169,12 @@ def cmd_analyze(args) -> int:
         "file_complexity": pda.f,
         "optimal_file_complexity": f_optimal,
     }
-    emit_json(envelope("analyze", {"pda": args.pda, "q": args.q}, results), args.out)
+    emit_report(args, results)
     return EXIT_OK
 
 
 def cmd_tradeoff(args) -> int:
-    if args.all_q:
+    if args.q == "all":
         check_tradeoff_budget(args.k)  # also refuses K < 1, which would skip every curve
         q_values = list(range(1, args.k + 1))
     elif args.q is not None:
@@ -195,12 +193,7 @@ def cmd_tradeoff(args) -> int:
             lines.append(f"{args.k},{q},{r},{info['exact']},{info['decimal']}")
         emit("\n".join(lines) + "\n", args.out)
     else:
-        payload = envelope(
-            "tradeoff",
-            {"k": args.k, "q": "all" if args.all_q else args.q},
-            {"points": [{"q": q, "r": r, "l": l_star} for q, r, l_star in rows]},
-        )
-        emit_json(payload, args.out)
+        emit_report(args, {"points": [{"q": q, "r": r, "l": l_star} for q, r, l_star in rows]})
     return EXIT_OK
 
 
@@ -212,28 +205,22 @@ def cmd_simulate(args) -> int:
     job = JobSpec(n_files=args.files, d_functions=d_used, w_bits=args.file_bits,
                   v_bits=args.iva_bits, u_bits=args.output_bits, seed=args.seed)
 
-    report = measure_loads(pda, job, args.q, samples=args.samples,
-                           seed=args.sample_seed)
+    loads = measure_loads(pda, job, args.q, samples=args.samples, seed=args.sample_seed)
     results = {
-        **asdict(report),
+        **asdict(loads),
         "per_active_set": [{"active": active, "total_bits": bits}
-                           for active, bits in report.per_active_set],
+                           for active, bits in loads.per_active_set],
         "functions_requested": args.functions,
         "functions_used": d_used,
     }
     if d_used != args.functions:
         # load normalized by the unpadded function count, for comparison
-        results["l_measured_raw_functions"] = report.l_measured * d_used / args.functions
-    emit_json(envelope("simulate", {
-        "pda": args.pda, "q": args.q, "files": args.files,
-        "functions": args.functions, "file_bits": args.file_bits,
-        "iva_bits": args.iva_bits, "output_bits": args.output_bits, "seed": args.seed,
-        "samples": args.samples, "sample_seed": args.sample_seed,
-    }, results), args.out)
+        results["l_measured_raw_functions"] = loads.l_measured * d_used / args.functions
+    emit_report(args, results)
 
-    if not report.all_reference_match:
+    if not loads.all_reference_match:
         return EXIT_MISMATCH
-    if report.mode == "exhaustive" and not report.match:
+    if loads.mode == "exhaustive" and not loads.match:
         return EXIT_MISMATCH
     return EXIT_OK
 
@@ -243,8 +230,7 @@ def cmd_prop1(args) -> int:
     # K, r and Q are echoed under inputs; the irrational constants are floats
     results = {name: f"{value:.15g}" if isinstance(value, float) else value
                for name, value in rep.items() if name not in ("k_nodes", "r", "q_active")}
-    emit_json(envelope("prop1", {"k": args.k, "r": args.r, "q_active": args.q_active},
-                       results), args.out)
+    emit_report(args, results)
     return EXIT_OK
 
 
@@ -261,38 +247,33 @@ def build_parser() -> argparse.ArgumentParser:
         g = fam.add_parser(family, help=help_text)
         for name in names:
             g.add_argument(f"--{name}", type=int, required=True)
-        g.add_argument("--out", default=None)
         g.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("validate", help="parse and validate a PDA file")
     p.add_argument("--pda", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("stats", help="derived quantities of a PDA file")
     p.add_argument("--pda", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("subarray", help="restrict a PDA to an active column set")
     p.add_argument("--pda", required=True)
     p.add_argument("--nodes", required=True, help="comma-separated 1-based columns")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_subarray)
 
     p = sub.add_parser("analyze", help="stats plus achieved and optimal loads")
     p.add_argument("--pda", required=True)
     p.add_argument("--q", type=int, required=True, help="active-set size")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("tradeoff", help="fundamental tradeoff table")
     p.add_argument("--k", type=int, required=True)
     which_q = p.add_mutually_exclusive_group()
     which_q.add_argument("--q", type=int, default=None)
-    which_q.add_argument("--all-q", action="store_true")
+    # --all-q stores "all" in q, which is how the report's inputs echo it
+    which_q.add_argument("--all-q", dest="q", action="store_const", const="all")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("simulate", help="run the scheme and measure loads")
@@ -307,16 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None,
                    help="sample this many active sets instead of enumerating")
     p.add_argument("--sample-seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("prop1", help="closeness/file-complexity report for P1/P2")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--q-active", type=int, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_prop1)
 
+    for leaf in (*sub.choices.values(), *fam.choices.values()):
+        if leaf.get_default("func"):  # a command, not the "gen" group
+            leaf.add_argument("--out", default=None)
     return parser
 
 

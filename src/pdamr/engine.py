@@ -88,8 +88,10 @@ def job_geometry(pda: Pda, job: JobSpec, q: int) -> Geometry:
     """Block geometry of ``job`` on ``pda`` with active sets of size ``q``.
 
     The one home of the job rules, in order: q in 1..K, then F | N, q | D
-    and lcm(1..q-1) | eta*(D/q)*V (DivisibilityError), since a symbol seen
-    g <= q times among the active columns splits its blocks into g-1 parts.
+    and lcm(1..m-1) | eta*(D/q)*V (DivisibilityError), with m = min(q,
+    g_max) and g_max the array's largest symbol multiplicity (1 if it has no
+    symbol): a symbol seen g times survives l <= min(g, q) times among the
+    active columns and splits its blocks into l-1 parts.
     """
     _check_kq(pda.k, q)
     if job.n_files % pda.f != 0:
@@ -102,13 +104,18 @@ def job_geometry(pda: Pda, job: JobSpec, q: int) -> Geometry:
             divisor=q, value=job.d_functions)
     eta = job.n_files // pda.f
     per_v = eta * (job.d_functions // q)
-    need = math.lcm(*range(1, q))
+    g_max = max(pda.s_t, default=1)
+    m = min(q, g_max)
+    need = math.lcm(*range(1, m))
     if per_v * job.v_bits % need != 0:
         step = need // math.gcd(need, per_v)
         valid = -(-job.v_bits // step) * step
+        # g_max is named only where it, not Q, ends the lcm range
+        bound = (f" (no symbol occurs more than g_max = {g_max} < Q = {q} times)"
+                 if g_max < q else "")
         raise DivisibilityError(
-            f"lcm(1..{q - 1}) = {need} must divide eta*(D/Q)*V = {per_v * job.v_bits} "
-            f"so coded blocks split evenly; at or above V = {job.v_bits}, the "
+            f"lcm(1..{m - 1}) = {need} must divide eta*(D/Q)*V = {per_v * job.v_bits} "
+            f"so coded blocks split evenly{bound}; at or above V = {job.v_bits}, the "
             f"smallest valid V is {valid} (--iva-bits {valid})",
             divisor=need, value=per_v * job.v_bits)
     return Geometry(eta, per_v * job.v_bits)

@@ -681,3 +681,60 @@ def test_simulate_echoes_every_input(capsys, ex1_path):
         changed = report(flag, str(value))
         assert changed["inputs"] == {**plain["inputs"], key: value}
         assert changed["results"] == plain["results"]
+
+
+@pytest.fixture
+def bad_path(tmp_path):
+    path = tmp_path / "bad.pda"
+    path.write_text("1 2\n1 1\n")
+    return str(path)
+
+
+# every JSON report but simulate's (pinned above): its argv, with EX1 and
+# BAD standing for the two array files, its exit code and its exact inputs
+REPORT_INPUTS = [
+    (("validate", "--pda", "EX1"), 0, {"pda": "EX1"}),
+    (("validate", "--pda", "BAD"), 2, {"pda": "BAD"}),
+    (("stats", "--pda", "EX1"), 0, {"pda": "EX1"}),
+    (("analyze", "--pda", "EX1", "--q", "3"), 0, {"pda": "EX1", "q": 3}),
+    (("tradeoff", "--k", "4", "--q", "3", "--format", "json"), 0, {"k": 4, "q": 3}),
+    (("tradeoff", "--k", "4", "--all-q", "--format", "json"), 0, {"k": 4, "q": "all"}),
+    (("prop1", "--k", "4", "--r", "2", "--q-active", "3"), 0,
+     {"k": 4, "r": 2, "q_active": 3}),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, inputs", REPORT_INPUTS,
+                         ids=["validate-ok", "validate-bad", "stats", "analyze",
+                              "tradeoff-q", "tradeoff-all-q", "prop1"])
+def test_report_echoes_its_inputs(capsys, ex1_path, bad_path, argv, exit_code, inputs):
+    paths = {"EX1": ex1_path, "BAD": bad_path}
+    code, stdout, _ = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert code == exit_code
+    payload = json.loads(stdout)
+    assert payload["command"] == argv[0]
+    assert payload["inputs"] == {key: paths.get(value, value) for key, value in inputs.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "man", "--k", "4", "--i", "2"),
+    ("gen", "p1", "--q", "2", "--m", "2"),
+    ("gen", "p2", "--q", "3", "--m", "2"),
+    ("gen", "fullstar", "--k", "3", "--f", "2"),
+    ("validate", "--pda", "EX1"),
+    ("validate", "--pda", "BAD"),
+    ("stats", "--pda", "EX1"),
+    ("subarray", "--pda", "EX1", "--nodes", "1,2,4"),
+    ("analyze", "--pda", "EX1", "--q", "3"),
+    ("tradeoff", "--k", "4", "--all-q"),
+    ("tradeoff", "--k", "4", "--q", "3", "--format", "json"),
+    ("simulate", "--pda", "EX1", "--q", "3", "--files", "6", "--functions", "4",
+     "--iva-bits", "120", "--samples", "2"),
+    ("prop1", "--k", "4", "--r", "2", "--q-active", "3"),
+], ids=lambda argv: "-".join(argv[:2]))
+def test_out_file_equals_stdout(capsys, ex1_path, bad_path, tmp_path, argv):
+    argv = [{"EX1": ex1_path, "BAD": bad_path}.get(arg, arg) for arg in argv]
+    code, stdout, _ = run(capsys, *argv)
+    out = tmp_path / "report.out"
+    assert run(capsys, *argv, "--out", str(out))[0] == code
+    assert out.read_text() == stdout != ""

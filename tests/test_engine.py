@@ -537,6 +537,35 @@ def test_signals_are_built_only_when_read(monkeypatch):
     assert sum(signal.nbits for signal in signals.values()) == transcript.total_bits
 
 
+@pytest.mark.parametrize("pda, q_active, v_bits", [
+    (man_pda(8, 4), 7, 12),     # g = 5: lcm(1..4) = 12, not lcm(1..6) = 60
+    (p1_pda(2, 4), 7, 6),       # g = 4: lcm(1..3) = 6, not lcm(1..6) = 60
+    (p1_pda(2, 6), 12, 480),    # g = 6: lcm(1..5) = 60, not lcm(1..11) = 27720
+    (p2_pda(3, 4), 12, 3360),   # g = 8: lcm(1..7) = 420, not lcm(1..11) = 27720
+], ids=["man-8-4", "p1-2-4", "p1-2-6", "p2-3-4"])
+def test_split_rule_follows_the_largest_multiplicity(pda, q_active, v_bits):
+    # with eta = D/Q = 1, V only needs lcm(1..min(Q, g_max)-1), since no
+    # block splits into more parts than its symbol has occurrences, less one
+    report = measure_loads(pda, JobSpec(pda.f, q_active, 8, v_bits, 8, seed=1), q_active)
+    assert report.mode == "exhaustive"
+    assert len(report.per_active_set) == math.comb(pda.k, q_active)
+    assert report.l_measured == report.closed_form.l
+    assert report.match and report.all_reference_match
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(comp_pdas(), balanced_comp_pdas()))
+def test_smallest_split_rule_v_splits_every_block_evenly(pda):
+    # D = Q, eta = 1 and V = lcm(1..m-1), m = min(Q, g_max): the least V the
+    # rule accepts, so any uneven split would break the decode or the load
+    g_max = max(pda.s_t, default=1)
+    for q in range(pda.k - pda.tau + 1, pda.k + 1):
+        job = JobSpec(pda.f, q, 8, math.lcm(*range(1, min(q, g_max))), 8, seed=q)
+        report = measure_loads(pda, job, q)
+        assert report.l_measured == achieved_load(pda, q).l
+        assert report.match and report.all_reference_match
+
+
 def test_exhaustive_man_10_5_at_scale():
     # 120 transcripts of a 252 x 10 array; V = 60 = lcm(1..6) with eta = D/Q = 1
     report = measure_loads(man_pda(10, 5), JobSpec(252, 7, 64, 60, 64, seed=1), 7)
@@ -607,19 +636,26 @@ def test_work_budget_refuses_before_any_work(monkeypatch):
         measure_loads(EX1, TOY, 3)
 
 
-@pytest.mark.parametrize("job, q_active, samples, message", [
-    (JobSpec(6, 3, 8, 7, 8), 3, None, r"^lcm\(1\.\.2\) = 2 must divide .* smallest valid V "
-                                      r"is 8 \(--iva-bits 8\)$"),
-    (TOY, 0, None, r"^q_active must be in 1\.\.4, got 0$"),
-    (TOY, 3, -1, r"^samples must be >= 1$"),
-    (JobSpec(6, 3, 64, 2**30, 64), 3, None, r"^the job's files, map values and reference "
-                                            r"outputs hash 12079595712 bytes, above the "
-                                            r"limit of 100000000$"),
-], ids=["lcm", "q0", "samples", "hashed-bytes"])
-def test_intake_refuses_before_any_work(monkeypatch, job, q_active, samples, message):
+@pytest.mark.parametrize("pda, job, q_active, samples, message", [
+    (EX1, JobSpec(6, 3, 8, 7, 8), 3, None, r"^lcm\(1\.\.2\) = 2 must divide .* smallest "
+                                           r"valid V is 8 \(--iva-bits 8\)$"),
+    (EX1, TOY, 0, None, r"^q_active must be in 1\.\.4, got 0$"),
+    (EX1, TOY, 3, -1, r"^samples must be >= 1$"),
+    (EX1, JobSpec(6, 3, 64, 2**30, 64), 3, None, r"^the job's files, map values and "
+                                                 r"reference outputs hash 12079595712 "
+                                                 r"bytes, above the limit of 100000000$"),
+    # p1(2,6) symbols occur 6 times, so Q = 12 needs lcm(1..5) = 60, not lcm(1..11)
+    (p1_pda(2, 6), JobSpec(32, 12, 8, 470, 8), 12, None,
+     r"^lcm\(1\.\.5\) = 60 must divide eta\*\(D/Q\)\*V = 470 so coded blocks split evenly "
+     r"\(no symbol occurs more than g_max = 6 < Q = 12 times\); at or above V = 470, the "
+     r"smallest valid V is 480 \(--iva-bits 480\)$"),
+    # the job rules come before the samples check
+    (EX1, JobSpec(6, 3, 8, 7, 8), 3, 0, r"^lcm\(1\.\.2\) = 2 must divide "),
+], ids=["lcm", "q0", "samples", "hashed-bytes", "lcm-g-max", "lcm-before-samples"])
+def test_intake_refuses_before_any_work(monkeypatch, pda, job, q_active, samples, message):
     monkeypatch.setattr(engine, "achieved_load", no_load)
     with pytest.raises(ParameterError, match=message):
-        measure_loads(EX1, job, q_active, samples=samples)
+        measure_loads(pda, job, q_active, samples=samples)
 
 
 @pytest.mark.parametrize("pda, job, q_active", [
