@@ -7,8 +7,7 @@ load stays within a factor 1 + 2/r of optimal. ``prop1_check`` quantifies
 both effects for one (K, r, Q) at a time.
 """
 
-from pdamr import prop1_check
-from pdamr.loads import NoMatchingFamilyError
+from pdamr import NoMatchingFamilyError, prop1_check
 
 print(f"{'K':>3} {'r':>3} {'Q':>3} {'family':>6} {'rows':>6} {'C(K,r)':>7} "
       f"{'load ratio':>12} {'alpha':>8} {'beta':>8}")
@@ -18,7 +17,7 @@ for k in (4, 6, 8, 12, 16, 20, 24):
         q_active = k - r + 1  # hardest admissible case: max stragglers
         try:
             rep = prop1_check(k, r, q_active)
-        except (NoMatchingFamilyError, ValueError):
+        except NoMatchingFamilyError:
             continue
         print(f"{k:>3} {r:>3} {q_active:>3} {rep.family:>6} "
               f"{rep.f_construction:>6} {rep.f_optimal:>7} "

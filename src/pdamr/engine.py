@@ -315,11 +315,12 @@ class TranscriptReport:
     ``coded`` holds one coded word per symbol, ascending: (symbol, sender
     columns, joined word, part width). A singleton's word is its block with
     its one sender; a symbol seen g >= 2 times joins its g signals end to
-    end, in sender order. ``signals`` cuts them into the multicast payloads
-    keyed by (sender, symbol); ``outputs`` holds the reduced outputs per
-    active node; ``reference_match`` whether every decoded intermediate
-    value equals the map output and every output equals the placement-free
-    reference evaluation.
+    end, in sender order. It is the only record of what was sent: the bit
+    tallies are read from it after the symbol loop, and ``signals`` cuts it
+    into the payloads keyed by (sender, symbol). ``outputs`` holds the reduced
+    outputs per active node; ``reference_match`` whether every decoded
+    intermediate value equals the map output and every output equals the
+    placement-free reference evaluation.
     """
 
     active: tuple[int, ...]
@@ -356,10 +357,9 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     from the signals plus locally computed parts, check every rebuilt value
     against the map output, then evaluate their assigned reduce functions.
 
-    The report is built in plan order, with no sort: ``coded`` and
-    ``per_symbol_bits`` by symbol, ascending, each filled as a symbol's
-    signals are made: g signals of block_bits/(g-1) bits, or one block for a
-    singleton.
+    The symbol loop fills only ``coded``, by symbol ascending with no sort:
+    one block for a singleton, or g signals of block_bits/(g-1) bits. The
+    three bit tallies are read from it once, after the loop.
     """
     wl = workload if workload is not None else Workload(job)
     if wl.job != job:
@@ -380,8 +380,6 @@ def run_transcript(pda: Pda, job: JobSpec, active,
                                     f"which the {rule} promises" + where(sym))
 
     coded = []
-    per_node_bits = dict.fromkeys(plan.active, 0)
-    per_symbol_bits: dict[int, int] = {}
     decoded: dict[tuple[int, int], int] = {}   # (row, node) -> block rebuilt there
     for sym, places in plan.occurrences.items():
         if len(places) == 1:
@@ -390,12 +388,9 @@ def run_transcript(pda: Pda, job: JobSpec, active,
             require_stored(sender, [i], "choice of singleton sender", sym)
             decoded[(i, j)] = value = blocks[j][i]
             coded.append((sym, (sender,), value, block_bits))
-            per_node_bits[sender] += block_bits
-            per_symbol_bits[sym] = block_bits
             continue
         g = len(places)
         w = block_bits // (g - 1)
-        per_symbol_bits[sym] = w * g
         # The block at place t widened by an empty w-bit slot t has its part
         # for the column of place p in slot p, so the XOR of the widened
         # blocks is the g signals end to end, in place order.
@@ -407,7 +402,6 @@ def run_transcript(pda: Pda, job: JobSpec, active,
             bit = 1 << (j - 1)
             stored &= masks[i] | bit
             column_mask |= bit
-            per_node_bits[j] += w
             tail -= w
             value = blocks[j][i]
             widened.append((value >> tail << tail + w) | (value & (1 << tail) - 1))
@@ -469,11 +463,15 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     match = values_match and all(outputs[k][d] == reference[d]
                                  for k in plan.active for d in plan.reduce_assignment[k])
 
+    per_node_bits = dict.fromkeys(plan.active, 0)
+    for _, senders, _, w in coded:
+        for k in senders:
+            per_node_bits[k] += w
     return TranscriptReport(
         active=plan.active,
         coded=tuple(coded),
         per_node_bits=per_node_bits,
-        per_symbol_bits=per_symbol_bits,
+        per_symbol_bits={sym: w * len(senders) for sym, senders, _, w in coded},
         total_bits=sum(per_node_bits.values()),
         outputs=outputs,
         reference_match=match,
@@ -536,16 +534,15 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
     wl = Workload(job)
     placement = build_placement(pda, job)
     per_active_set = []
-    total = 0
     all_match = True
     for active in chosen:
         report = run_transcript(pda, job, active, workload=wl)
         per_active_set.append((report.active, report.total_bits))
-        total += report.total_bits
         all_match = all_match and report.reference_match
 
     stored = sum(len(files) for files in placement.node_files.values())
     r_measured = Fraction(stored, job.n_files)
+    total = sum(bits for _, bits in per_active_set)
     l_measured = Fraction(total, len(per_active_set)) / (job.n_files * job.d_functions * job.v_bits)
 
     return LoadReport(

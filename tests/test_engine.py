@@ -566,6 +566,29 @@ def test_smallest_split_rule_v_splits_every_block_evenly(pda):
         assert report.match and report.all_reference_match
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(comp_pdas(), balanced_comp_pdas()), st.data())
+def test_bit_tallies_agree_with_the_signals(pda, data):
+    # the per-symbol, per-node and total tallies are all read from `coded`;
+    # here each is summed again from the signals, on mixed multiplicities
+    q = data.draw(st.integers(pda.k - pda.tau + 1, pda.k), label="q")
+    job = JobSpec(pda.f, q, 8, math.lcm(*range(1, min(q, max(pda.s_t, default=1)))), 8, seed=q)
+    wl = Workload(job)
+    totals = []
+    for active in itertools.combinations(range(1, pda.k + 1), q):
+        report = run_transcript(pda, job, active, workload=wl)
+        per_symbol, per_node = Counter(), dict.fromkeys(active, 0)
+        for (k, sym), signal in report.signals.items():
+            per_symbol[sym] += signal.nbits
+            per_node[k] += signal.nbits
+        assert report.per_symbol_bits == per_symbol
+        assert report.per_node_bits == per_node
+        assert report.total_bits == sum(report.per_node_bits.values())
+        totals.append(report.total_bits)
+    measured = measure_loads(pda, job, q).l_measured
+    assert measured == Fraction(sum(totals), len(totals)) / (job.n_files * job.d_functions * job.v_bits)
+
+
 def test_exhaustive_man_10_5_at_scale():
     # 120 transcripts of a 252 x 10 array; V = 60 = lcm(1..6) with eta = D/Q = 1
     report = measure_loads(man_pda(10, 5), JobSpec(252, 7, 64, 60, 64, seed=1), 7)
