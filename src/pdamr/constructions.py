@@ -14,8 +14,9 @@ from .pda import STAR, ParameterError, Pda, PdaValidationError, _intake
 
 
 # Largest array, in cells (rows x columns), that a family constructor builds:
-# about 5x man(16,8). Building one takes time and memory in proportion to its
-# cells.
+# about 5x man(16,8). Build time follows the cells, but intake memory follows
+# symbols x K bits (each symbol's name and column mask): man(1000,1), with
+# 499,500 symbols, peaks at 289 MiB of RSS, man(1000,999) at 27 MiB.
 MAX_CELLS = 1_000_000
 
 
@@ -48,7 +49,9 @@ def _finish(rows) -> Pda:
 def man_pda(k_nodes: int, i: int) -> Pda:
     """Subset-indexed PDA on ``k_nodes`` columns: rows are the size-``i``
     subsets T of the nodes in lexicographic order, stars mark membership,
-    and node k outside T gets T | {k}, named by its column bitmask. The
+    and node k outside T gets T | {k}, named by the sum of 3**a over its
+    0-based members a. The names are distinct and their hashes spread; a
+    column bitmask would not do, as CPython hashes 2**a like 2**(a mod 61). The
     intake's first-occurrence relabel makes that name the lexicographic rank
     of T | {k} among the size-(i+1) subsets.
 
@@ -65,8 +68,12 @@ def man_pda(k_nodes: int, i: int) -> Pda:
                  min(i, k_nodes - i) + 1)
 
     bits = [1 << k for k in range(k_nodes)]
-    masks = map(sum, combinations(bits, i))  # row T's star mask, T in order
-    return _finish([STAR if mask & bit else mask | bit for bit in bits] for mask in masks)
+    threes = [3 ** k for k in range(k_nodes)]
+    columns = list(zip(bits, threes))
+    # each row T's star mask and name, T in order
+    rows = zip(map(sum, combinations(bits, i)), map(sum, combinations(threes, i)))
+    return _finish([STAR if mask & bit else name + three for bit, three in columns]
+                   for mask, name in rows)
 
 
 def _grid_columns(q: int, m: int) -> list[tuple[int, int, int]]:

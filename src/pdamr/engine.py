@@ -248,18 +248,16 @@ class ActiveSetPlan:
     ``occurrences`` maps each surviving symbol, ascending, to its places
     (0-based row, 1-based node label) in the active columns: the array's own
     place tuples, in the array's order, by node, and the array's own tuple
-    of places when all of them survive. Singletons go to
-    ``singleton_assignment`` (symbol -> responsible sender, the smallest
-    active node with a star in that row). For a symbol occurring g >= 2
-    times the place order labels the parts: the block at place t splits into
-    g-1 equal parts, most significant first, one for the column of each
-    other place, in order.
+    of places when all of them survive. It stores no sender: a symbol's
+    senders are read from the array where it is sent. For a symbol occurring
+    g >= 2 times the place order labels the parts: the block at place t
+    splits into g-1 equal parts, most significant first, one for the column
+    of each other place, in order.
     """
 
     pda: Pda
     active: tuple[int, ...]
     occurrences: dict[int, tuple[tuple[int, int], ...]]
-    singleton_assignment: dict[int, int]
     reduce_assignment: dict[int, tuple[int, ...]]
 
     @cached_property
@@ -275,7 +273,7 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
     Raises EmptyStarRowError if some row keeps no star among the active
     columns (the excluded outage case), checked on the row masks, then
     checks ``job_geometry``. The plan is a filter of ``pda.occurrences``
-    that builds no place tuple and copies no grid.
+    that builds no place tuple, copies no grid and stores no sender.
     """
     active = tuple(sorted(active))
     q = len(active)
@@ -284,15 +282,10 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
 
     node_mask = active_mask << 1  # bit k set for active node k
     occurrences: dict[int, tuple[tuple[int, int], ...]] = {}
-    singleton_assignment: dict[int, int] = {}
     for sym, places in pda.occurrences.items():
         kept = [place for place in places if node_mask >> place[1] & 1]
-        if not kept:
-            continue
-        if len(kept) == 1:
-            senders = pda.row_star_masks[kept[0][0]] & active_mask
-            singleton_assignment[sym] = (senders & -senders).bit_length()
-        occurrences[sym] = places if len(kept) == len(places) else tuple(kept)
+        if kept:
+            occurrences[sym] = places if len(kept) == len(places) else tuple(kept)
 
     functions = range(1, job.d_functions + 1)
     reduce_assignment = {
@@ -303,7 +296,6 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
         pda=pda,
         active=active,
         occurrences=occurrences,
-        singleton_assignment=singleton_assignment,
         reduce_assignment=reduce_assignment,
     )
 
@@ -350,7 +342,8 @@ def run_transcript(pda: Pda, job: JobSpec, active,
 
     Map: every node computes all intermediate values of its stored batches
     (the workload's columns and coded blocks, computed once per job).
-    Shuffle: singleton symbols are sent uncoded by their responsible node;
+    Shuffle: a singleton symbol is sent uncoded by the lowest active node
+    with a star in its row, read from the array's row mask;
     each block under a g >= 2 symbol is split into g-1 labeled parts and each
     occurrence column XORs the parts labeled with it across the other
     occurrences. Reduce: nodes rebuild the blocks of their unstored batches
@@ -368,6 +361,7 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     eta, block_bits = job_geometry(pda, job, len(plan.active))
     v = job.v_bits
     masks = pda.row_star_masks
+    active_mask = sum(1 << (k - 1) for k in plan.active)
     blocks = {j: wl.blocks(plan.reduce_assignment[j], eta) for j in plan.active}
 
     def where(sym: int) -> str:
@@ -384,8 +378,8 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     for sym, places in plan.occurrences.items():
         if len(places) == 1:
             (i, j), = places
-            sender = plan.singleton_assignment[sym]
-            require_stored(sender, [i], "choice of singleton sender", sym)
+            senders = masks[i] & active_mask  # the lowest active star sends it
+            sender = (senders & -senders).bit_length()
             decoded[(i, j)] = value = blocks[j][i]
             coded.append((sym, (sender,), value, block_bits))
             continue
@@ -448,7 +442,6 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     # stored rows plus the distinct rows it decodes and lacks number at most
     # F, so their sum over the nodes is F*Q only if no node leaves a row out;
     # a failure walks the rows for the first node and file left out
-    active_mask = sum(1 << (k - 1) for k in plan.active)
     stars = sum((mask & active_mask).bit_count() for mask in masks)
     if covered + stars != pda.f * len(plan.active):
         k, i = next((k, i) for k in plan.active for i in range(pda.f)

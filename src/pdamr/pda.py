@@ -28,6 +28,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from operator import itemgetter
 
 STAR = 0
@@ -216,22 +217,18 @@ def _rule_violations(sym, label, rows, cols, grid, masks) -> list[Violation]:
     places = [(i, j) for i in dict.fromkeys(rows)
               for j, entry in enumerate(grid[i]) if entry == label]
     violations = []
-    for a in range(len(places)):
-        i1, j1 = places[a]
-        for b in range(a + 1, len(places)):
-            i2, j2 = places[b]
-            if i1 == i2 or j1 == j2:
-                violations.append(Violation(
-                    "a", (i1 + 1, i2 + 1), (j1 + 1, j2 + 1),
-                    f"symbol {sym} repeats in the same "
-                    f"{'row' if i1 == i2 else 'column'} at "
-                    f"({i1 + 1},{j1 + 1}) and ({i2 + 1},{j2 + 1})"))
-                continue
-            if not masks[i1] >> j2 & 1 or not masks[i2] >> j1 & 1:
-                violations.append(Violation(
-                    "b", (i1 + 1, i2 + 1), (j1 + 1, j2 + 1),
-                    f"symbol {sym} at ({i1 + 1},{j1 + 1}) and ({i2 + 1},{j2 + 1}) "
-                    f"needs stars at ({i1 + 1},{j2 + 1}) and ({i2 + 1},{j1 + 1})"))
+    for (i1, j1), (i2, j2) in combinations(places, 2):
+        if i1 == i2 or j1 == j2:
+            violations.append(Violation(
+                "a", (i1 + 1, i2 + 1), (j1 + 1, j2 + 1),
+                f"symbol {sym} repeats in the same "
+                f"{'row' if i1 == i2 else 'column'} at "
+                f"({i1 + 1},{j1 + 1}) and ({i2 + 1},{j2 + 1})"))
+        elif not masks[i1] >> j2 & 1 or not masks[i2] >> j1 & 1:
+            violations.append(Violation(
+                "b", (i1 + 1, i2 + 1), (j1 + 1, j2 + 1),
+                f"symbol {sym} at ({i1 + 1},{j1 + 1}) and ({i2 + 1},{j2 + 1}) "
+                f"needs stars at ({i1 + 1},{j2 + 1}) and ({i2 + 1},{j1 + 1})"))
     return violations
 
 
@@ -282,13 +279,13 @@ def _scan(rows):
     return label_of, grid, masks, rows_of, cols_of, bad
 
 
-def validate_pda(grid, require_canonical: bool = True) -> ValidationReport:
+def validate_pda(grid) -> ValidationReport:
     """Check a raw grid against the PDA rules and report every violation.
 
     ``grid`` is a nonempty rectangular sequence of rows of ints (STAR or a
-    symbol label). With ``require_canonical`` the label set must be exactly
-    1..S, numbered in row-major first-occurrence order; column subarrays are
-    checked with it off.
+    symbol label). The label set must be exactly 1..S, numbered in row-major
+    first-occurrence order; ``stack_pda`` renumbers and checks a grid
+    labelled otherwise.
     """
     rows = [tuple(row) for row in grid]
     if not rows or not rows[0]:
@@ -304,7 +301,7 @@ def validate_pda(grid, require_canonical: bool = True) -> ValidationReport:
         violations += _rule_violations(sym, label, rows_of[label], cols_of[label],
                                        labelled, masks)
 
-    if require_canonical and symbols:
+    if symbols:
         for before, after in zip([0] + symbols, symbols):  # one violation per gap
             if after - before > 1:
                 gap = (f"symbol {before + 1} never occurs" if after - before == 2 else

@@ -351,18 +351,15 @@ def test_simulate_reference_mismatch_exit_code(capsys, ex1_path, monkeypatch):
 
 
 def test_simulate_engine_defect_exit_code(capsys, tmp_path, monkeypatch):
-    # a plan whose singleton sender lacks the batch is an internal defect:
-    # exit 4, not the parameter-error exit 3
+    # a plan that drops a symbol leaves a node without a batch it needs, an
+    # internal defect: exit 4, not the parameter-error exit 3
     real = engine.plan_active_set
 
     def broken(*args):
         plan = real(*args)
-        if not plan.singleton_assignment:
-            return plan
-        sym = next(iter(plan.singleton_assignment))
-        (_, holder), = plan.occurrences[sym]
+        sym = next(iter(plan.occurrences))
         return dataclasses.replace(
-            plan, singleton_assignment={**plan.singleton_assignment, sym: holder})
+            plan, occurrences={s: p for s, p in plan.occurrences.items() if s != sym})
 
     monkeypatch.setattr(engine, "plan_active_set", broken)
     path = tmp_path / "p1.pda"
@@ -370,7 +367,7 @@ def test_simulate_engine_defect_exit_code(capsys, tmp_path, monkeypatch):
     code, _, stderr = run(capsys, "simulate", "--pda", str(path), "--q", "3",
                           "--files", "2", "--functions", "3", "--iva-bits", "24")
     assert code == 4
-    assert "defect" in stderr
+    assert "internal defect: EngineDefectError: node " in stderr
 
 
 def test_simulate_under_optimized_python(ex1_path):

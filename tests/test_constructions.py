@@ -214,6 +214,24 @@ def test_man_cell_limit_admits_benchmark_array():
     assert math.comb(16, 8) * 16 <= constructions.MAX_CELLS
 
 
+@pytest.mark.parametrize("k,i", [(200, 1), (100, 2)])
+def test_man_names_hash_apart(monkeypatch, k, i):
+    # the intake keys its labels by name; names that share a hash would make
+    # that dict quadratic, as column bitmasks wider than 61 bits would
+    names = set()
+    real = constructions._intake
+
+    def record(rows):
+        rows = list(rows)
+        names.update(entry for row in rows for entry in row if entry != STAR)
+        return real(rows)
+
+    monkeypatch.setattr(constructions, "_intake", record)
+    pda = man_pda(k, i)
+    assert len(names) == pda.s == math.comb(k, i + 1)
+    assert len(set(map(hash, names))) == len(names)
+
+
 # a small array of each other family with its F x K cell count
 @pytest.mark.parametrize("build,args,cells", [
     (p1_pda, (2, 2), 8),

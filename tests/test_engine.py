@@ -109,8 +109,6 @@ def test_plan_example_active_set():
     plan = plan_active_set(EX1, [1, 2, 4], TOY)
     assert plan.active == (1, 2, 4)
     assert plan.reduce_assignment == {1: (1,), 2: (2,), 4: (3,)}
-    # every symbol survives at least twice here, so none are singletons
-    assert plan.singleton_assignment == {}
     # each symbol's places by ascending column, which labels the parts: the
     # block at (0, 4) under symbol 2 splits into parts labelled 1 and 2
     labels = {s: tuple(k for _, k in p) for s, p in plan.occurrences.items()}
@@ -124,10 +122,11 @@ def test_plan_full_active_set_is_identity_subarray():
 
 def test_plan_singletons():
     # restricting p1(2,2) to columns {1,2,3} leaves symbol 2 occurring once,
-    # at (row 2, col 1); the responsible sender is node 2 (star in that row)
+    # at (row 2, col 1); node 2, the lowest active star in that row, sends it
     job = JobSpec(2, 3, 8, 24, 8, 0)
-    plan = plan_active_set(p1_pda(2, 2), [1, 2, 3], job)
-    assert plan.singleton_assignment == {2: 2}
+    report = run_transcript(p1_pda(2, 2), job, [1, 2, 3])
+    assert [(sym, senders) for sym, senders, _, _ in report.coded if sym == 2] == [(2, (2,))]
+    assert report.reference_match
 
 
 def test_plan_divisibility_errors():
@@ -343,26 +342,6 @@ def test_job_geometry():
             job_geometry(EX1, TOY, q)
 
 
-def misdirect_singleton(plan):
-    """``plan`` with its first singleton sent by the node that holds the
-    symbol itself, hence lacks the batch it would have to send."""
-    sym = next(iter(plan.singleton_assignment))
-    (_, holder), = plan.occurrences[sym]
-    return dataclasses.replace(
-        plan, singleton_assignment={**plan.singleton_assignment, sym: holder})
-
-
-def test_broken_plan_is_an_engine_defect(monkeypatch):
-    assert not issubclass(EngineDefectError, ValueError)
-    real = engine.plan_active_set
-    monkeypatch.setattr(engine, "plan_active_set",
-                        lambda *args: misdirect_singleton(real(*args)))
-    job = JobSpec(2, 3, 8, 24, 8, 0)
-    with pytest.raises(EngineDefectError, match="singleton sender") as err:
-        run_transcript(p1_pda(2, 2), job, [1, 2, 3])
-    assert str(err.value).endswith("(active set (1, 2, 3), symbol 2)")
-
-
 def drop_symbol(plan):
     """``plan`` without its first symbol, so the nodes that need the blocks
     under it neither store nor receive them."""
@@ -372,6 +351,7 @@ def drop_symbol(plan):
 
 
 def test_dropped_occurrence_is_an_engine_defect(monkeypatch):
+    assert not issubclass(EngineDefectError, ValueError)
     real = engine.plan_active_set
     monkeypatch.setattr(engine, "plan_active_set", lambda *args: drop_symbol(real(*args)))
     with pytest.raises(EngineDefectError, match="node 1 neither stores nor decodes file 4,") as err:
@@ -783,8 +763,7 @@ def test_transcripts_pinned(name):
 
 def reference_plan(pda, active, job):
     """The plan of ``active`` by its definition, scanning the grid: symbols
-    ascending, each with its active cells column by column; a singleton is
-    sent by the smallest active node with a star in its row.
+    ascending, each with its active cells column by column.
     An outage gives the EmptyStarRowError that planning must raise."""
     active = tuple(sorted(active))
     q = len(active)
@@ -792,21 +771,16 @@ def reference_plan(pda, active, job):
         if all(row[k - 1] != STAR for k in active):
             return EmptyStarRowError(i + 1)
     symbols = sorted({entry for row in pda.grid for entry in row if entry != STAR})
-    occurrences, singleton_assignment = {}, {}
+    occurrences = {}
     for sym in symbols:
         places = tuple((i, k) for k in active for i in range(pda.f)
                        if pda.grid[i][k - 1] == sym)
-        if not places:
-            continue
-        occurrences[sym] = places
-        if len(places) == 1:
-            (i, _), = places
-            singleton_assignment[sym] = next(k for k in active if pda.grid[i][k - 1] == STAR)
+        if places:
+            occurrences[sym] = places
     return engine.ActiveSetPlan(
         pda=pda,
         active=active,
         occurrences=occurrences,
-        singleton_assignment=singleton_assignment,
         reduce_assignment={k: tuple(d for d in range(1, job.d_functions + 1)
                                     if (d - 1) % q == p) for p, k in enumerate(active)},
     )
@@ -867,6 +841,36 @@ def test_plan_matches_grid_scan(pda):
 @given(MIXED_MULTIPLICITY_PDAS)
 def test_plan_of_random_arrays_matches_grid_scan(pda):
     assert_plans_match_reference(pda)
+
+
+def assert_singletons_sent_by_lowest_active_star(pda):
+    """Over every tolerated Q and active set, every singleton in a
+    transcript's ``coded`` has one sender, the lowest active node with a
+    star in the symbol's row, read off the grid."""
+    g_max = max(pda.s_t, default=1)
+    for q in range(pda.k - pda.tau + 1, pda.k + 1):
+        job = JobSpec(pda.f, q, 8, math.lcm(*range(1, min(q, g_max))), 8, seed=q)
+        wl = Workload(job)
+        for active in itertools.combinations(range(1, pda.k + 1), q):
+            report = run_transcript(pda, job, active, workload=wl)
+            assert report.reference_match
+            for sym, senders, _, _ in report.coded:
+                places = [(i, k) for k in active for i in range(pda.f)
+                          if pda.grid[i][k - 1] == sym]
+                if len(places) == 1:
+                    (i, _), = places
+                    assert senders == (next(k for k in active if pda.grid[i][k - 1] == STAR),)
+
+
+@FIXED_PDAS
+def test_singleton_sent_by_lowest_active_star(pda):
+    assert_singletons_sent_by_lowest_active_star(pda)
+
+
+@settings(max_examples=60, deadline=None)
+@given(MIXED_MULTIPLICITY_PDAS)
+def test_singletons_of_random_arrays_sent_by_lowest_active_star(pda):
+    assert_singletons_sent_by_lowest_active_star(pda)
 
 
 def assert_plan_filters_in_order(pda):

@@ -137,7 +137,7 @@ def test_validate_reports_cross_star_break():
     # occurrence of 3 at (2,4), and puts two 3s into column 3
     grid = [list(row) for row in EXAMPLE_GRID]
     grid[0][2] = 3
-    report = validate_pda(grid, require_canonical=False)
+    report = validate_pda(grid)
     assert not report.ok
     assert any(v.rule == "b" and v.rows == (1, 2) and v.cols == (3, 4)
                for v in report.violations)
@@ -169,7 +169,7 @@ def test_validate_reports_each_coverage_gap_once():
 
 
 def test_validate_reports_bad_symbols():
-    report = validate_pda(((STAR, -1), (STAR, "x")), require_canonical=False)
+    report = validate_pda(((STAR, -1), (STAR, "x")))
     assert [(v.rule, v.rows, v.cols) for v in report.violations] == [
         ("symbol", (1,), (2,)), ("symbol", (2,), (2,))]
     assert report.params is None
