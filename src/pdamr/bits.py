@@ -3,7 +3,9 @@
 Every payload the shuffle engine touches (files, intermediate values, signals)
 is a plain bit string. Lengths are not required to be byte multiples, so the
 representation here is an integer plus an explicit bit count, with the first
-bit of the string stored in the most significant position.
+bit of the string stored in the most significant position. ``pack`` and
+``unpack`` are the one rule that lays equal-width values end to end this way
+(blocks, payloads and signals alike), and ``msb_bytes`` the one byte padding.
 """
 
 from __future__ import annotations
@@ -37,6 +39,29 @@ def le64(value: int) -> bytes:
     return (value & _MASK64).to_bytes(8, "little")
 
 
+def pack(values, width: int) -> int:
+    """The ``width``-bit ``values`` end to end, values[0] most significant. The
+    halves recurse, so n values cost O(log n) passes over the result, not n."""
+    if len(values) < 2:
+        return values[0] if values else 0
+    half = len(values) // 2
+    return pack(values[:half], width) << (len(values) - half) * width | pack(values[half:], width)
+
+
+def unpack(value: int, n: int, width: int) -> list[int]:
+    """The inverse of ``pack``: ``value`` cut into ``n`` ``width``-bit values, by halving."""
+    if n < 2:
+        return [value] if n else []
+    half = n // 2
+    low = (n - half) * width
+    return unpack(value >> low, half, width) + unpack(value & (1 << low) - 1, n - half, width)
+
+
+def msb_bytes(value: int, nbits: int) -> bytes:
+    """The ``nbits`` bits of ``value`` as bytes, MSB first, the last byte zero-padded."""
+    return (value << -nbits % 8).to_bytes(-(-nbits // 8), "big")
+
+
 @dataclass(frozen=True)
 class Bits:
     """Immutable bit string of length ``nbits``; bit 0 is the most significant
@@ -64,16 +89,11 @@ class Bits:
         if parts <= 0 or self.nbits % parts != 0:
             raise ValueError(f"cannot split {self.nbits} bits into {parts} equal parts")
         size = self.nbits // parts
-        mask = (1 << size) - 1
-        return [
-            Bits((self.value >> (self.nbits - (i + 1) * size)) & mask, size)
-            for i in range(parts)
-        ]
+        return [Bits(x, size) for x in unpack(self.value, parts, size)]
 
     def to_bytes(self) -> bytes:
         """Pack MSB-first; unused low bits of the final byte are zero."""
-        pad = -self.nbits % 8
-        return (self.value << pad).to_bytes((self.nbits + pad) // 8, "big")
+        return msb_bytes(self.value, self.nbits)
 
     @staticmethod
     def concat(pieces) -> "Bits":

@@ -42,6 +42,7 @@ from .pda import (
     ParameterError,
     PdaFormatError,
     PdaValidationError,
+    _number,
     column_subarray,
     parse_pda,
     pda_stats,
@@ -143,11 +144,9 @@ def cmd_stats(args) -> int:
 
 def cmd_subarray(args) -> int:
     pda = read_pda(args.pda)
-    try:
-        nodes = [int(tok) for tok in args.nodes.split(",")]
-    except ValueError:
-        raise ParameterError(
-            f"--nodes must be comma-separated integers, got {args.nodes!r}") from None
+    nodes = [_number(tok) for tok in args.nodes.split(",")]  # as a PDA text token
+    if None in nodes:
+        raise ParameterError(f"--nodes must be comma-separated integers, got {args.nodes!r}")
     sub = column_subarray(pda, nodes)
     emit(render_pda(sub), args.out)
     return EXIT_OK

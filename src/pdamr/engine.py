@@ -30,7 +30,7 @@ from itertools import combinations
 from operator import xor
 from typing import NamedTuple
 
-from .bits import Bits, block_stream, le64
+from .bits import Bits, block_stream, le64, msb_bytes, pack, unpack
 from .loads import LoadPair, _check_kq, achieved_load, comb
 from .pda import ParameterError, Pda, _column_mask, column_subarray
 
@@ -40,6 +40,7 @@ MAX_TRANSCRIPT_CELLS = 10_000_000
 # Bytes a job's files, map values and reference outputs hash (each once per
 # job); man(4,2) with V = 2**23 hashes 94.4M in about 12 s
 MAX_HASHED_BYTES = 10**8
+MAX_DECODED_VALUES = 10**7  # transcripts x N x D values copied and decoded, ~1.1 us each
 
 
 class DivisibilityError(ParameterError):
@@ -173,27 +174,21 @@ class Workload:
 
     def blocks(self, functions: tuple[int, ...], eta: int) -> list[int]:
         """The coded blocks of ``functions`` over batches of ``eta`` files
-        (eta divides N): block i packs the values of batch i (0-based),
-        function-major, MSB first, as the node reducing ``functions`` sends
+        (eta divides N): block i is ``bits.pack`` of the values of batch i
+        (0-based), function-major, as the node reducing ``functions`` sends
         and decodes it."""
         key = (functions, eta)
         if key not in self._blocks:
-            v = self.job.v_bits
             columns = [self.column(d) for d in functions]
-            packed = []
-            for start in range(0, self.job.n_files, eta):
-                value = 0
-                for column in columns:
-                    for x in column[start:start + eta]:
-                        value = value << v | x
-                packed.append(value)
-            self._blocks[key] = packed
+            self._blocks[key] = [
+                pack([x for column in columns for x in column[start:start + eta]], self.job.v_bits)
+                for start in range(0, self.job.n_files, eta)]
         return self._blocks[key]
 
     def reduce_output(self, d: int, values: list[int]) -> Bits:
         """Reduce function d: first U bits of the block stream keyed by LE64(d)
-        over the N V-bit intermediate values of d, packed MSB-first with the
-        last byte zero-padded.
+        over the N V-bit intermediate values of d, as the ``bits.msb_bytes``
+        of their ``bits.pack``.
 
         Memoized on (d, values); the payload is packed only on a miss, and a
         value outside 0..2**V-1 is refused there, so it is never cached."""
@@ -204,9 +199,7 @@ class Workload:
             v = self.job.v_bits
             if min(key[1]) < 0 or max(key[1]) >> v:
                 raise ValueError(f"intermediate values must fit in {v} bits")
-            bits = "".join([format(value, f"0{v}b") for value in key[1]])
-            pad = -len(bits) % 8
-            payload = (int(bits, 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
+            payload = msb_bytes(pack(key[1], v), len(key[1]) * v)
             self._reduced[key] = block_stream(le64(d), payload, self.job.u_bits)
         return self._reduced[key]
 
@@ -330,9 +323,8 @@ class TranscriptReport:
         ``__dict__``, which a frozen dataclass allows)."""
         sent: dict[int, list[tuple[int, Bits]]] = {k: [] for k in self.active}
         for sym, senders, joined, w in self.coded:
-            low = (1 << w) - 1
-            for t, k in enumerate(senders, 1):
-                sent[k].append((sym, Bits(joined >> w * (len(senders) - t) & low, w)))
+            for k, part in zip(senders, unpack(joined, len(senders), w)):
+                sent[k].append((sym, Bits(part, w)))
         return {(k, sym): signal for k, payloads in sent.items() for sym, signal in payloads}
 
 
@@ -347,8 +339,8 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     each block under a g >= 2 symbol is split into g-1 labeled parts and each
     occurrence column XORs the parts labeled with it across the other
     occurrences. Reduce: nodes rebuild the blocks of their unstored batches
-    from the signals plus locally computed parts, check every rebuilt value
-    against the map output, then evaluate their assigned reduce functions.
+    from the signals plus locally computed parts, ``bits.unpack`` each block
+    once, check every value against the map output, then reduce.
 
     The symbol loop fills only ``coded``, by symbol ascending with no sort:
     one block for a singleton, or g signals of block_bits/(g-1) bits. The
@@ -422,21 +414,22 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     # node -> function -> reduce input: a copy of the column, where each
     # decoded block overwrites the files it carries once each value is
     # checked against the column. slots[k]: per value of node k's blocks,
-    # function-major, its column, input, file offset in the batch and shift
+    # function-major, its column, input, offset in the batch and in the block
     known = {k: {d: wl.column(d).copy() for d in plan.reduce_assignment[k]}
              for k in plan.active}
-    slots = {k: [(wl.column(d), known[k][d], e, block_bits - v * (p * eta + e + 1))
+    slots = {k: [(wl.column(d), known[k][d], e, p * eta + e)
                  for p, d in enumerate(plan.reduce_assignment[k]) for e in range(eta)]
              for k in plan.active}
-    low = (1 << v) - 1
+    per_block = block_bits // v
     values_match = True
     covered = 0  # distinct (row, node) pairs decoded where the node lacks the row
     for (i, k), value in decoded.items():
         covered += not masks[i] >> (k - 1) & 1
         first = i * eta
-        for column, values, e, shift in slots[k]:
+        unpacked = unpack(value, per_block, v)
+        for column, values, e, t in slots[k]:
             n = first + e
-            values[n] = got = value >> shift & low
+            values[n] = got = unpacked[t]
             values_match &= got == column[n]
     # every active node must store or decode each of the F rows. A node's
     # stored rows plus the distinct rows it decodes and lacks number at most
@@ -498,8 +491,9 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
 
     ``samples=None`` enumerates all C(K,Q) sets; otherwise that many sets are
     drawn uniformly with replacement using ``seed``. Before any work it checks
-    ``job_geometry``, ``samples`` and two budgets: transcripts x F x K up
-    to MAX_TRANSCRIPT_CELLS, ``hashed_bytes`` up to MAX_HASHED_BYTES.
+    ``job_geometry``, ``samples`` and three budgets: transcripts x F x K up
+    to MAX_TRANSCRIPT_CELLS, transcripts x N x D up to MAX_DECODED_VALUES,
+    ``hashed_bytes`` up to MAX_HASHED_BYTES.
     """
     job_geometry(pda, job, q_active)
     if samples is not None and samples < 1:
@@ -510,6 +504,11 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
             f"{transcripts} transcripts of a {pda.f}x{pda.k} array walk "
             f"{transcripts * pda.f * pda.k} cells, above the limit of "
             f"{MAX_TRANSCRIPT_CELLS}; draw fewer active sets with --samples")
+    if transcripts * job.n_files * job.d_functions > MAX_DECODED_VALUES:
+        raise ParameterError(
+            f"{transcripts} transcripts of {job.n_files} files x {job.d_functions} functions "
+            f"decode {transcripts * job.n_files * job.d_functions} values, above the limit "
+            f"of {MAX_DECODED_VALUES}; draw fewer active sets with --samples")
     if hashed_bytes(job) > MAX_HASHED_BYTES:
         raise ParameterError(f"the job's files, map values and reference outputs hash "
                              f"{hashed_bytes(job)} bytes, above the limit of {MAX_HASHED_BYTES}")

@@ -349,9 +349,9 @@ def _intake(rows) -> Pda:
 
 def _number(token: str) -> int | None:
     """The int an ASCII token spells in decimal digits, or None for any other
-    token (a sign, an underscore, or more digits than int() converts)."""
+    token (a sign, an underscore, a non-ASCII digit, or too many digits for int())."""
     try:
-        return int(token) if token.isdigit() else None
+        return int(token) if token.isascii() and token.isdigit() else None
     except ValueError:
         return None
 

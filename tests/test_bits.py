@@ -3,9 +3,9 @@
 import hashlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from pdamr.bits import Bits, block_stream, fnv1a64, le64
+from pdamr.bits import Bits, block_stream, fnv1a64, le64, msb_bytes, pack, unpack
 
 # published FNV-1a 64-bit reference values
 FNV_VECTORS = {
@@ -62,6 +62,36 @@ def test_split_concat_roundtrip(bits, parts):
     if bits.nbits % parts or bits.nbits == 0:
         return
     assert Bits.concat(bits.split(parts)) == bits
+
+
+packings = st.integers(min_value=1, max_value=130).flatmap(
+    lambda w: st.tuples(st.just(w), st.lists(st.integers(min_value=0, max_value=2**w - 1),
+                                             min_size=1, max_size=300)))
+
+
+@given(packings)
+@example((7, [5]))
+@example((3, [1, 0, 7]))
+@example((130, [2**130 - 1] * 299))
+def test_pack_is_the_bit_string_rule(packing):
+    # each value's w binary digits end to end, the first value most significant
+    width, xs = packing
+    packed = pack(xs, width)
+    assert packed == int("".join(format(x, f"0{width}b") for x in xs), 2)
+    assert unpack(packed, len(xs), width) == xs
+
+
+def test_pack_of_no_values_is_the_empty_string():
+    assert pack([], 5) == 0 and unpack(0, 0, 5) == []
+
+
+@given(bit_strings)
+def test_msb_bytes_pads_the_bit_string(bits):
+    # the bit string's digits, zero-padded to whole bytes, 8 digits a byte
+    digits = format(bits.value, f"0{bits.nbits}b") if bits.nbits else ""
+    digits += "0" * (-bits.nbits % 8)
+    expected = bytes(int(digits[i:i + 8], 2) for i in range(0, len(digits), 8))
+    assert msb_bytes(bits.value, bits.nbits) == bits.to_bytes() == expected
 
 
 @given(bit_strings)

@@ -578,9 +578,12 @@ def test_internal_value_error_is_a_defect(capsys, monkeypatch):
 
 
 def test_subarray_rejects_non_integer_nodes(capsys, ex1_path):
-    code, stdout, stderr = run(capsys, "subarray", "--pda", ex1_path, "--nodes", "1,a")
-    assert code == 3 and stdout == ""
-    assert stderr == "error: --nodes must be comma-separated integers, got '1,a'\n"
+    # a node is read as the PDA text reads a number, in ASCII decimal digits
+    # alone; int() takes the last three (U+0661 is the Arabic-Indic one)
+    for nodes in ("1,a", "0_1", " +2", "\u0661"):
+        code, stdout, stderr = run(capsys, "subarray", "--pda", ex1_path, "--nodes", nodes)
+        assert code == 3 and stdout == ""
+        assert stderr == f"error: --nodes must be comma-separated integers, got {nodes!r}\n"
 
 
 @pytest.fixture(scope="module")

@@ -533,14 +533,29 @@ def test_split_rule_follows_the_largest_multiplicity(pda, q_active, v_bits):
     assert report.match and report.all_reference_match
 
 
+@pytest.mark.parametrize("pda, job, q_active, per_block", [
+    (man_pda(4, 2), JobSpec(42, 15, 16, 8, 16), 3, 35),   # eta = 7, D/Q = 5
+    (stack_pda(man_pda(5, 2), man_pda(5, 3), man_pda(5, 4)),
+     JobSpec(75, 12, 16, 12, 16), 4, 9),                  # eta = 3, D/Q = 3
+], ids=["man-4-2-35-values", "stack-9-values"])
+def test_blocks_of_many_values_match(pda, job, q_active, per_block):
+    # each coded block packs eta*(D/Q) values, every one decoded and checked
+    assert job_geometry(pda, job, q_active).block_bits == per_block * job.v_bits
+    report = measure_loads(pda, job, q_active)
+    assert len(report.per_active_set) == math.comb(pda.k, q_active)
+    assert report.match and report.all_reference_match
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(comp_pdas(), balanced_comp_pdas()))
-def test_smallest_split_rule_v_splits_every_block_evenly(pda):
-    # D = Q, eta = 1 and V = lcm(1..m-1), m = min(Q, g_max): the least V the
-    # rule accepts, so any uneven split would break the decode or the load
+@given(st.one_of(comp_pdas(), balanced_comp_pdas()), st.integers(1, 3), st.integers(1, 3))
+def test_smallest_split_rule_v_splits_every_block_evenly(pda, eta, per_q):
+    # N = eta*F, D = per_q*Q, so a block holds 1 to 9 values, and V is the
+    # least the rule accepts: lcm(1..m-1), m = min(Q, g_max), over its gcd
+    # with eta*(D/Q); so any uneven split would break the decode or the load
     g_max = max(pda.s_t, default=1)
     for q in range(pda.k - pda.tau + 1, pda.k + 1):
-        job = JobSpec(pda.f, q, 8, math.lcm(*range(1, min(q, g_max))), 8, seed=q)
+        need = math.lcm(*range(1, min(q, g_max)))
+        job = JobSpec(eta * pda.f, per_q * q, 8, need // math.gcd(need, eta * per_q), 8, seed=q)
         report = measure_loads(pda, job, q)
         assert report.l_measured == achieved_load(pda, q).l
         assert report.match and report.all_reference_match
@@ -636,6 +651,27 @@ def test_work_budget_refuses_before_any_work(monkeypatch):
     assert measure_loads(EX1, TOY, 3).match
     monkeypatch.setattr(engine, "MAX_HASHED_BYTES", engine.hashed_bytes(TOY) - 1)
     with pytest.raises(ParameterError, match=f"hash {engine.hashed_bytes(TOY)} bytes"):
+        measure_loads(EX1, TOY, 3)
+
+    # and for the decoded values: p1(2,2) with N = D = 1000 passes the other
+    # two budgets (960 cells and 32,665,000 bytes), but its 120 transcripts
+    # would copy and decode 1.2e8 values
+    monkeypatch.undo()
+    monkeypatch.setattr(engine, "achieved_load", no_load)
+    big = JobSpec(1000, 1000, 64, 5, 64)
+    assert engine.hashed_bytes(big) == 32_665_000
+    with pytest.raises(ParameterError, match=r"^120 transcripts of 1000 files x 1000 "
+                       r"functions decode 120000000 values, above the limit of 10000000; "
+                       r".*--samples$"):
+        measure_loads(p1_pda(2, 2), big, 4, samples=120)
+    # the exhaustive man(12,6) Q=8 run with D = 8 stays inside it
+    assert math.comb(12, 8) * 924 * 8 == 3_659_040 <= engine.MAX_DECODED_VALUES
+    # the limit itself is allowed: C(4,3) transcripts of 6 files x 3 functions
+    monkeypatch.undo()
+    monkeypatch.setattr(engine, "MAX_DECODED_VALUES", 72)
+    assert measure_loads(EX1, TOY, 3).match
+    monkeypatch.setattr(engine, "MAX_DECODED_VALUES", 71)
+    with pytest.raises(ParameterError, match="decode 72 values"):
         measure_loads(EX1, TOY, 3)
 
 
