@@ -14,9 +14,11 @@ the shuffle or reduce path exploits any structure of these functions.
 Every value is a plain int of known width from map to reduce. A job's map
 outputs live in per-function columns (N values each) and each function
 tuple's coded blocks are packed from them, both once per job in its
-``Workload``; a transcript only reads these tables and XORs plain ints. The
-reduce outputs are ``Bits``, and a transcript's ``Bits`` per signal are made
-only when its ``signals`` is read.
+``Workload``; a transcript only reads these tables, XORs plain ints, writes
+each decoded block into its nodes' reduce inputs as one slice per function,
+and checks each input whole against its column. The reduce outputs are
+``Bits``; a transcript's bit tallies and ``Bits`` per signal are made only
+when read.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import NamedTuple
 
 from .bits import Bits, block_stream, le64, msb_bytes, pack, unpack
 from .loads import LoadPair, _check_kq, achieved_load, comb
-from .pda import ParameterError, Pda, _column_mask, column_subarray
+from .pda import ParameterError, Pda, _check_int, _column_mask, column_subarray
 
 # Grid cells a measure_loads request may walk, transcripts x F x K; an
 # exhaustive man(12,6) Q=8 walks 5,488,560
@@ -76,8 +78,8 @@ class JobSpec:
 
     def __post_init__(self):
         for name in ("n_files", "d_functions", "w_bits", "v_bits", "u_bits"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1")
+            _check_int(name, getattr(self, name), 1)
+        _check_int("seed", self.seed)
 
 
 class Geometry(NamedTuple):
@@ -268,9 +270,10 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
     checks ``job_geometry``. The plan is a filter of ``pda.occurrences``
     that builds no place tuple, copies no grid and stores no sender.
     """
+    active = tuple(active)
+    active_mask = _column_mask(pda, active)  # before sorting, which mixed types break
     active = tuple(sorted(active))
     q = len(active)
-    active_mask = _column_mask(pda, active)
     job_geometry(pda, job, q)
 
     node_mask = active_mask << 1  # bit k set for active node k
@@ -301,20 +304,34 @@ class TranscriptReport:
     columns, joined word, part width). A singleton's word is its block with
     its one sender; a symbol seen g >= 2 times joins its g signals end to
     end, in sender order. It is the only record of what was sent: the bit
-    tallies are read from it after the symbol loop, and ``signals`` cuts it
-    into the payloads keyed by (sender, symbol). ``outputs`` holds the reduced
-    outputs per active node; ``reference_match`` whether every decoded
-    intermediate value equals the map output and every output equals the
-    placement-free reference evaluation.
+    tallies ``per_node_bits`` and ``per_symbol_bits`` (keys ascending) and
+    ``total_bits`` are read from it on first read, and ``signals`` cuts it
+    into the payloads keyed by (sender, symbol). ``outputs`` holds the
+    reduced outputs per active node; ``reference_match`` whether every
+    reduce input equals its map-output column (so every decoded value is
+    checked) and every output equals the placement-free reference evaluation.
     """
 
     active: tuple[int, ...]
     coded: tuple[tuple[int, tuple[int, ...], int, int], ...]
-    per_node_bits: dict[int, int]
-    per_symbol_bits: dict[int, int]
-    total_bits: int
     outputs: dict[int, dict[int, Bits]]
     reference_match: bool
+
+    @cached_property
+    def per_node_bits(self) -> dict[int, int]:
+        bits = dict.fromkeys(self.active, 0)
+        for _, senders, _, w in self.coded:
+            for k in senders:
+                bits[k] += w
+        return bits
+
+    @cached_property
+    def per_symbol_bits(self) -> dict[int, int]:
+        return {sym: w * len(senders) for sym, senders, _, w in self.coded}
+
+    @cached_property
+    def total_bits(self) -> int:
+        return sum(w * len(senders) for _, senders, _, w in self.coded)
 
     @cached_property
     def signals(self) -> dict[tuple[int, int], Bits]:
@@ -340,11 +357,12 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     occurrence column XORs the parts labeled with it across the other
     occurrences. Reduce: nodes rebuild the blocks of their unstored batches
     from the signals plus locally computed parts, ``bits.unpack`` each block
-    once, check every value against the map output, then reduce.
+    once and write it into their inputs as one eta-value slice per function,
+    then reduce; each input is compared whole with its column.
 
     The symbol loop fills only ``coded``, by symbol ascending with no sort:
     one block for a singleton, or g signals of block_bits/(g-1) bits. The
-    three bit tallies are read from it once, after the loop.
+    report reads its bit tallies from it.
     """
     wl = workload if workload is not None else Workload(job)
     if wl.job != job:
@@ -411,26 +429,18 @@ def run_transcript(pda: Pda, job: JobSpec, active,
             decoded[(i, k)] = (value >> tail + w << tail) | (value & (1 << tail) - 1)
             prefix ^= widened[t]
 
-    # node -> function -> reduce input: a copy of the column, where each
-    # decoded block overwrites the files it carries once each value is
-    # checked against the column. slots[k]: per value of node k's blocks,
-    # function-major, its column, input, offset in the batch and in the block
-    known = {k: {d: wl.column(d).copy() for d in plan.reduce_assignment[k]}
-             for k in plan.active}
-    slots = {k: [(wl.column(d), known[k][d], e, p * eta + e)
-                 for p, d in enumerate(plan.reduce_assignment[k]) for e in range(eta)]
-             for k in plan.active}
-    per_block = block_bits // v
-    values_match = True
+    # node -> (offset, function, input) per function: function p's values
+    # sit at offset p*eta of each block (Workload.blocks' order), and a
+    # decoded block overwrites the files it carries in the copied column
+    inputs = {k: [(p * eta, d, wl.column(d).copy())
+                  for p, d in enumerate(plan.reduce_assignment[k])] for k in plan.active}
     covered = 0  # distinct (row, node) pairs decoded where the node lacks the row
     for (i, k), value in decoded.items():
         covered += not masks[i] >> (k - 1) & 1
         first = i * eta
-        unpacked = unpack(value, per_block, v)
-        for column, values, e, t in slots[k]:
-            n = first + e
-            values[n] = got = unpacked[t]
-            values_match &= got == column[n]
+        unpacked = unpack(value, block_bits // v, v)
+        for start, _, values in inputs[k]:
+            values[first:first + eta] = unpacked[start:start + eta]
     # every active node must store or decode each of the F rows. A node's
     # stored rows plus the distinct rows it decodes and lacks number at most
     # F, so their sum over the nodes is F*Q only if no node leaves a row out;
@@ -442,25 +452,16 @@ def run_transcript(pda: Pda, job: JobSpec, active,
         raise EngineDefectError(
             f"node {k} neither stores nor decodes file {i * eta + 1}, which function "
             f"{plan.reduce_assignment[k][0]} needs" + where(pda.grid[i][k - 1]))
-    outputs = {k: {d: wl.reduce_output(d, values) for d, values in known[k].items()}
+    outputs = {k: {d: wl.reduce_output(d, values) for _, d, values in inputs[k]}
                for k in plan.active}
 
     reference = wl.reference()
-    match = values_match and all(outputs[k][d] == reference[d]
-                                 for k in plan.active for d in plan.reduce_assignment[k])
-
-    per_node_bits = dict.fromkeys(plan.active, 0)
-    for _, senders, _, w in coded:
-        for k in senders:
-            per_node_bits[k] += w
     return TranscriptReport(
         active=plan.active,
         coded=tuple(coded),
-        per_node_bits=per_node_bits,
-        per_symbol_bits={sym: w * len(senders) for sym, senders, _, w in coded},
-        total_bits=sum(per_node_bits.values()),
         outputs=outputs,
-        reference_match=match,
+        reference_match=all(values == wl.column(d) and outputs[k][d] == reference[d]
+                            for k in plan.active for _, d, values in inputs[k]),
     )
 
 
@@ -496,8 +497,8 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
     ``hashed_bytes`` up to MAX_HASHED_BYTES.
     """
     job_geometry(pda, job, q_active)
-    if samples is not None and samples < 1:
-        raise ParameterError("samples must be >= 1")
+    if samples is not None:
+        _check_int("samples", samples, 1)
     transcripts = comb(pda.k, q_active) if samples is None else samples
     if transcripts * pda.f * pda.k > MAX_TRANSCRIPT_CELLS:
         raise ParameterError(

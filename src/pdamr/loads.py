@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import p1_rows, p2_rows
-from .pda import ParameterError, Pda, pda_stats
+from .pda import ParameterError, Pda, _check_int, pda_stats
 
 BETA_BOUND = math.sqrt(2 * math.pi) * math.e ** 2  # upper range for beta, ~18.48
 # The one tradeoff budget: each curve's exact terms x the bit length of
@@ -71,8 +71,8 @@ class TradeoffCurve:
 
 
 def _check_kq(k_nodes: int, q_active: int) -> None:
-    if k_nodes < 1:
-        raise ParameterError("k_nodes must be >= 1")
+    _check_int("k_nodes", k_nodes, 1)
+    _check_int("q_active", q_active)
     if not 1 <= q_active <= k_nodes:
         raise ParameterError(f"q_active must be in 1..{k_nodes}, got {q_active}")
 

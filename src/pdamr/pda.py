@@ -39,6 +39,15 @@ class ParameterError(ValueError):
     (the CLI's exit code 3)."""
 
 
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """Raise ParameterError naming ``name`` unless ``value`` is an int (a
+    bool counts, as in the intake) and, if ``least`` is given, >= ``least``."""
+    if not isinstance(value, int):
+        raise ParameterError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ParameterError(f"{name} must be >= {least}")
+
+
 class PdaFormatError(ValueError):
     """PDA text that cannot be parsed. ``line``/``column`` are 1-based."""
 
@@ -465,13 +474,14 @@ def pda_stats(pda: Pda) -> PdaStats:
 
 def _column_mask(pda: Pda, nodes) -> int:
     """Bitmask of ``nodes`` (1-based labels; bit node-1). Raises
-    ParameterError unless they are nonempty, distinct and in 1..K, and
+    ParameterError unless they are nonempty, distinct ints in 1..K, and
     EmptyStarRowError if some row keeps no star among them."""
     if not nodes:
         raise ParameterError("nodes must be nonempty")
     if len(set(nodes)) != len(nodes):
         raise ParameterError("nodes must be distinct")
     for node in nodes:
+        _check_int("each node", node)
         if not 1 <= node <= pda.k:
             raise ParameterError(f"node {node} outside 1..{pda.k}")
     kept = sum(1 << (node - 1) for node in nodes)

@@ -563,6 +563,28 @@ def test_argument_checks_raise_parameter_error(call):
         call()
 
 
+@pytest.mark.parametrize("name, call", [
+    ("each node", lambda: pdamr.column_subarray(man_pda(4, 2), [1.0, 2, 3])),
+    ("each node", lambda: pdamr.plan_active_set(man_pda(4, 2), ["1", 2, 3],
+                                                JobSpec(6, 3, 8, 8, 8))),
+    ("q_active", lambda: measure_loads(man_pda(4, 2), JobSpec(6, 3, 8, 8, 8), 3.0)),
+    ("samples", lambda: measure_loads(man_pda(4, 2), JobSpec(6, 3, 8, 8, 8), 3, samples=2.5)),
+    ("n_files", lambda: JobSpec(6.0, 3, 8, 8, 8)),
+    ("seed", lambda: JobSpec(6, 3, 8, 8, 8, seed=1.5)),
+], ids=["subarray", "plan", "q", "samples", "jobspec", "seed"])
+def test_non_int_arguments_raise_parameter_error(name, call):
+    # a float or str must not escape as a TypeError, or pass unnoticed
+    with pytest.raises(ParameterError, match=f"^{name} must be an int, got "):
+        call()
+
+
+def test_bools_count_as_ints():
+    # as in the grid intake, True and False are the ints 1 and 0
+    assert JobSpec(True, 3, 8, 8, 8, seed=False).n_files == 1
+    plan = pdamr.plan_active_set(man_pda(4, 2), [True, 2, 3], JobSpec(6, 3, 8, 8, 8))
+    assert plan.active == (1, 2, 3)
+
+
 def test_internal_value_error_is_a_defect(capsys, monkeypatch):
     # only ParameterError (and OSError) mean a bad request; a ValueError from
     # inside the library is a bug and exits 4

@@ -431,14 +431,20 @@ class IgnoringReduce(Workload):
 
 def test_decoded_values_are_checked_one_by_one():
     # node 1 reduces function 1 and decodes file 4 (row 3, symbol 1 of EX1);
-    # one bit of the block it is sent is wrong, its column entry is right
-    wl = IgnoringReduce(TOY)
-    wl.reference()
-    wl.blocks((1,), 1)[3] ^= 1
-    report = run_transcript(EX1, TOY, [1, 2, 4], workload=wl)
-    assert all(report.outputs[k][d] == wl.reference()[d]
-               for k, outputs in report.outputs.items() for d in outputs)
-    assert report.reference_match is False
+    # one bit of the block it is sent is wrong, its column entry is right.
+    # On p1(2,2) with eta = 2 and D/Q = 2, node 1 reduces functions (1, 5)
+    # and decodes row 1 (files 3 and 4): the flipped bit is the block's last
+    # value, function 5 on file 4
+    cases = ((EX1, TOY, [1, 2, 4], (1,), 1, 3),
+             (p1_pda(2, 2), JobSpec(4, 8, 64, 12, 64), [1, 2, 3, 4], (1, 5), 2, 1))
+    for pda, job, active, functions, eta, row in cases:
+        wl = IgnoringReduce(job)
+        wl.reference()
+        wl.blocks(functions, eta)[row] ^= 1
+        report = run_transcript(pda, job, active, workload=wl)
+        assert all(report.outputs[k][d] == wl.reference()[d]
+                   for k, outputs in report.outputs.items() for d in outputs)
+        assert report.reference_match is False
 
 
 def test_reduce_memo_never_serves_another_payload():
@@ -593,9 +599,7 @@ def test_exhaustive_man_10_5_at_scale():
 
 def no_transcript(pda, job, active, workload=None):
     """Stands in for run_transcript where only the choice of sets matters."""
-    return TranscriptReport(active=tuple(active), coded=(), per_node_bits={},
-                            per_symbol_bits={}, total_bits=0, outputs={},
-                            reference_match=True)
+    return TranscriptReport(active=tuple(active), coded=(), outputs={}, reference_match=True)
 
 
 def test_sampling_draws_sets_without_enumerating(monkeypatch):
