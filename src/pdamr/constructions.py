@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
-from .pda import STAR, ParameterError, Pda, PdaValidationError, _intake
+from .pda import STAR, ParameterError, Pda, PdaValidationError, _check_int, _intake
 
 
 # Largest array, in cells (rows x columns), that a family constructor builds:
@@ -59,8 +59,8 @@ def man_pda(k_nodes: int, i: int) -> Pda:
     (K, C(K,i), K*C(K-1,i-1), C(K,i+1)); for i = K it is the all-star 1xK
     array.
     """
-    if k_nodes < 1:
-        raise ParameterError("k_nodes must be >= 1")
+    _check_int("k_nodes", k_nodes, 1)
+    _check_int("i", i)
     if not 1 <= i <= k_nodes:
         raise ParameterError(f"i must be in 1..{k_nodes}, got {i}")
     # C(K,i) >= 2**min(i,K-i)
@@ -94,10 +94,8 @@ def _name(b: tuple[int, ...], q: int) -> int:
 
 def _grid_rows(name: str, q: int, m: int, count_rows) -> int:
     """Check a grid family's (q, m) and its F x mq cell count; return F."""
-    if q < 2:
-        raise ParameterError("q must be >= 2")
-    if m < 1:
-        raise ParameterError("m must be >= 1")
+    _check_int("q", q, 2)
+    _check_int("m", m, 1)
     return _check_cells(f"{name}({q},{m})", count_rows, m * q,
                         (m - 1) * (q.bit_length() - 1) + 1)
 
@@ -169,8 +167,8 @@ def p2_pda(q: int, m: int) -> Pda:
 
 def full_star_pda(k_nodes: int, f_rows: int) -> Pda:
     """All-star F x K array: every node stores everything, nothing is shuffled."""
-    if k_nodes < 1 or f_rows < 1:
-        raise ParameterError("k_nodes and f_rows must be >= 1")
+    _check_int("k_nodes", k_nodes, 1)
+    _check_int("f_rows", f_rows, 1)
     _check_cells(f"fullstar({k_nodes},{f_rows})", lambda: f_rows, k_nodes,
                  f_rows.bit_length())
     return _finish([STAR] * k_nodes for _ in range(f_rows))
@@ -183,6 +181,9 @@ def stack_pda(*pdas: Pda) -> Pda:
     is not a valid PDA raises PdaValidationError."""
     if not pdas:
         raise ParameterError("stack_pda needs at least one PDA")
+    for pda in pdas:
+        if not isinstance(pda, Pda):
+            raise ParameterError(f"pdas must each be a Pda, got {pda!r}")
     widths = sorted({pda.k for pda in pdas})
     if len(widths) > 1:
         raise ParameterError(f"stacked PDAs need equal K, got K in {widths}")

@@ -465,6 +465,18 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     )
 
 
+def active_sets(k_nodes: int, q_active: int, samples: int | None = None, seed: int = 0):
+    """The active sets of ``q_active`` of the nodes 1..``k_nodes``, drawn one
+    at a time, never listed: all C(K,Q) in ``combinations`` order when
+    ``samples`` is None, else ``samples`` sorted draws of ``rng.sample`` from
+    ``random.Random(seed)``, uniform with replacement. Checks nothing."""
+    nodes = range(1, k_nodes + 1)
+    if samples is None:
+        return combinations(nodes, q_active)
+    rng = random.Random(seed)
+    return (tuple(sorted(rng.sample(nodes, q_active))) for _ in range(samples))
+
+
 @dataclass(frozen=True)
 class LoadReport:
     """Measured loads over active sets against the closed-form prediction.
@@ -487,14 +499,13 @@ class LoadReport:
 
 def measure_loads(pda: Pda, job: JobSpec, q_active: int,
                   samples: int | None = None, seed: int = 0) -> LoadReport:
-    """Run transcripts over active sets of size ``q_active`` and compare the
-    measured communication load with the closed-form value.
+    """Fold ``run_transcript`` over ``active_sets(K, q_active, samples, seed)``
+    and compare the measured loads with the closed form; the storage load is
+    read from the row masks, T/F, so no ``Placement`` is built.
 
-    ``samples=None`` enumerates all C(K,Q) sets; otherwise that many sets are
-    drawn uniformly with replacement using ``seed``. Before any work it checks
-    ``job_geometry``, ``samples`` and three budgets: transcripts x F x K up
-    to MAX_TRANSCRIPT_CELLS, transcripts x N x D up to MAX_DECODED_VALUES,
-    ``hashed_bytes`` up to MAX_HASHED_BYTES.
+    Before any work it checks ``job_geometry``, ``samples`` and three
+    budgets: transcripts x F x K up to MAX_TRANSCRIPT_CELLS, transcripts x N
+    x D up to MAX_DECODED_VALUES, ``hashed_bytes`` up to MAX_HASHED_BYTES.
     """
     job_geometry(pda, job, q_active)
     if samples is not None:
@@ -515,31 +526,20 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
                              f"{hashed_bytes(job)} bytes, above the limit of {MAX_HASHED_BYTES}")
     closed_form = achieved_load(pda, q_active)
 
-    nodes = range(1, pda.k + 1)
-    if samples is None:
-        chosen = combinations(nodes, q_active)
-        mode = "exhaustive"
-    else:
-        rng = random.Random(seed)
-        chosen = (tuple(sorted(rng.sample(nodes, q_active))) for _ in range(samples))
-        mode = "sample"
-
     wl = Workload(job)
-    placement = build_placement(pda, job)
     per_active_set = []
     all_match = True
-    for active in chosen:
+    for active in active_sets(pda.k, q_active, samples, seed):
         report = run_transcript(pda, job, active, workload=wl)
         per_active_set.append((report.active, report.total_bits))
         all_match = all_match and report.reference_match
 
-    stored = sum(len(files) for files in placement.node_files.values())
-    r_measured = Fraction(stored, job.n_files)
+    r_measured = Fraction(pda.t, pda.f)  # stored files eta*T over N = eta*F
     total = sum(bits for _, bits in per_active_set)
     l_measured = Fraction(total, len(per_active_set)) / (job.n_files * job.d_functions * job.v_bits)
 
     return LoadReport(
-        mode=mode,
+        mode="exhaustive" if samples is None else "sample",
         q_active=q_active,
         r_measured=r_measured,
         l_measured=l_measured,

@@ -22,12 +22,12 @@ from .pda import ParameterError, Pda, _check_int, pda_stats
 BETA_BOUND = math.sqrt(2 * math.pi) * math.e ** 2  # upper range for beta, ~18.48
 # The one tradeoff budget: each curve's exact terms x the bit length of
 # C(K-1,Q-1), which bounds every term of the curve, plus TRADEOFF_ANCHOR_BITS
-# per anchor point. On a 2-vCPU Xeon every Q of K = 200 weighs 1.45e8
-# (3.0-3.6 s), (K, Q) = (100000, 300) 1.32e8 (1.7 s), (100000, 400) 3.0e8
-# (5.0 s) and (100000, 100000) 1.0e8 (1.6 s)
+# per anchor point. On a shared 2-vCPU machine every Q of K = 200 weighs
+# 1.45e8 (0.9-1.0 s), (K, Q) = (100000, 300) 1.32e8 (1.3-1.4 s), (100000,
+# 400) 3.0e8 (4.6 s) and (100000, 100000) 1.0e8 (0.6 s)
 MAX_TRADEOFF_TERM_BITS = 2 * 10**8
-# An anchor costs about 16 us however small its terms (an optimal_load call),
-# as much as 750-1200 term-bits cost on the curves above
+# An anchor costs about 6 us however small its terms (an optimal_load call),
+# as much as 600-900 term-bits cost on the curves above
 TRADEOFF_ANCHOR_BITS = 1000
 
 
@@ -83,14 +83,14 @@ def u_value(k_nodes: int, q_active: int, u: int) -> Fraction:
     contribution to the shuffle. Defined for u in 1..K; constant in u over
     {1,2} and strictly decreasing beyond when Q >= 3."""
     _check_kq(k_nodes, q_active)
+    _check_int("u", u)
     if not 1 <= u <= k_nodes:
         raise ParameterError(f"u must be in 1..{k_nodes}, got {u}")
-    total = Fraction(comb(k_nodes - u, q_active - 1))
-    lo = max(1, u - k_nodes + q_active - 1)
-    hi = min(u, q_active) - 1
-    for l in range(lo, hi + 1):
-        total += Fraction(comb(u - 1, l) * comb(k_nodes - u, q_active - l - 1), l)
-    return total
+    ls = range(max(1, u - k_nodes + q_active - 1), min(u, q_active))
+    den = math.lcm(*ls)  # one common denominator, so the terms sum as ints
+    num = comb(k_nodes - u, q_active - 1) * den + sum(
+        comb(u - 1, l) * comb(k_nodes - u, q_active - l - 1) * (den // l) for l in ls)
+    return Fraction(num, den)
 
 
 def z_value(k_nodes: int, q_active: int, u: int) -> Fraction:
@@ -98,6 +98,7 @@ def z_value(k_nodes: int, q_active: int, u: int) -> Fraction:
     sum_l ((Q-l)/(Q*l)) * C(u,l) * C(K-u,Q-l) over l in [u+Q-K .. min(u,Q)],
     which is C(K,Q) times the fundamental tradeoff at r = u."""
     _check_kq(k_nodes, q_active)
+    _check_int("u", u)
     if not k_nodes - q_active + 1 <= u <= k_nodes:
         raise ParameterError(
             f"u must be in {k_nodes - q_active + 1}..{k_nodes}, got {u}")
@@ -115,7 +116,10 @@ def optimal_load(k_nodes: int, q_active: int, r) -> Fraction:
     integer sequence is convex.
     """
     _check_kq(k_nodes, q_active)
-    r = Fraction(r)
+    try:
+        r = Fraction(r)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"r must be a rational number, got {r!r}") from None
     lo_bound, hi_bound = k_nodes - q_active + 1, k_nodes
     if not lo_bound <= r <= hi_bound:
         raise ParameterError(f"r must be in [{lo_bound}, {hi_bound}], got {r}")
@@ -127,14 +131,14 @@ def optimal_load(k_nodes: int, q_active: int, r) -> Fraction:
         return l_below + (l_above - l_below) * (r - below)
 
     r = int(r)
-    total = Fraction(0)
-    for l in range(r + q_active - k_nodes, min(r, q_active - 1) + 1):
-        total += Fraction(comb(r, l) * comb(k_nodes - r - 1, q_active - l - 1), l)
-    return (1 - Fraction(r, k_nodes)) * total / comb(k_nodes - 1, q_active - 1)
+    ls = range(r + q_active - k_nodes, min(r, q_active - 1) + 1)
+    den = math.lcm(*ls)  # one common denominator, so the terms sum as ints
+    num = sum(comb(r, l) * comb(k_nodes - r - 1, q_active - l - 1) * (den // l) for l in ls)
+    return Fraction((k_nodes - r) * num, k_nodes * comb(k_nodes - 1, q_active - 1) * den)
 
 
 def tradeoff_terms(k_nodes: int, q_active: int) -> int:
-    """How many Fraction terms ``optimal_load`` sums over the integer anchors
+    """How many binomial terms ``optimal_load`` sums over the integer anchors
     of the (K, Q) curve.
 
     With b = Q-1 and c = K-b, the anchor r = K-a (a in 0..b) sums min(a, c)
@@ -217,6 +221,8 @@ def _load(k_nodes: int, q_active: int, r, theta: dict) -> Fraction:
 def optimal_file_complexity(k_nodes: int, r: int) -> int:
     """Minimum number of file batches any scheme needs to sit exactly on the
     tradeoff at integer storage r (met with equality by the subset family)."""
+    _check_int("k_nodes", k_nodes, 1)
+    _check_int("r", r)
     if not 1 <= r <= k_nodes:
         raise ParameterError(f"r must be in 1..{k_nodes}, got {r}")
     return comb(k_nodes, r)
@@ -270,6 +276,7 @@ def prop1_check(k_nodes: int, r: int, q_active: int) -> Prop1Report:
     array: f_construction is the family's row count (``p1_rows`` / ``p2_rows``,
     refused above the cell limit as ``gen`` refuses it)."""
     _check_kq(k_nodes, q_active)
+    _check_int("r", r)
     if not k_nodes - q_active + 1 <= r <= k_nodes - 1:
         raise ParameterError(
             f"r must be in {k_nodes - q_active + 1}..{k_nodes - 1}, got {r}")

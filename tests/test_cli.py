@@ -578,6 +578,27 @@ def test_non_int_arguments_raise_parameter_error(name, call):
         call()
 
 
+@pytest.mark.parametrize("name, call", [
+    ("k_nodes", lambda: man_pda(4.0, 2)),
+    ("i", lambda: man_pda(4, 2.0)),
+    ("q", lambda: pdamr.p1_pda(2.0, 2)),
+    ("f_rows", lambda: pdamr.full_star_pda(3, 2.0)),
+    ("u", lambda: pdamr.u_value(6, 3, 1.5)),
+    ("u", lambda: pdamr.z_value(6, 3, 4.5)),
+    ("r", lambda: pdamr.optimal_file_complexity(4, 2.0)),
+    ("r", lambda: pdamr.prop1_check(4, 2.0, 3)),
+    ("r", lambda: pdamr.optimal_load(4, 2, None)),
+    ("r", lambda: pdamr.optimal_load(4, 2, "abc")),
+    ("pdas", lambda: pdamr.stack_pda(1)),
+], ids=["man-k", "man-i", "p1", "fullstar", "u_value", "z_value", "file-complexity", "prop1",
+        "load-none", "load-str", "stack"])
+def test_constructor_and_closed_form_arguments_raise_parameter_error(name, call):
+    # a bare TypeError, AttributeError or ValueError from deeper in the library
+    # must not escape; the ParameterError names the argument
+    with pytest.raises(ParameterError, match=f"^{name} must "):
+        call()
+
+
 def test_bools_count_as_ints():
     # as in the grid intake, True and False are the ints 1 and 0
     assert JobSpec(True, 3, 8, 8, 8, seed=False).n_files == 1

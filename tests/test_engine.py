@@ -620,6 +620,31 @@ def test_sampling_draws_sets_without_enumerating(monkeypatch):
     assert measure_loads(pda, job, 12, samples=3, seed=5) == report
 
 
+@pytest.mark.parametrize("k_nodes", range(1, 8))
+def test_active_sets_enumerate_in_combinations_order(k_nodes):
+    for q in range(1, k_nodes + 1):
+        assert (list(engine.active_sets(k_nodes, q))
+                == list(itertools.combinations(range(1, k_nodes + 1), q)))
+
+
+def test_sampled_active_sets_are_pinned():
+    # a sampled report's sets, and so its load, follow these draws of the seed
+    assert list(engine.active_sets(30, 12, samples=3, seed=5)) == [
+        (1, 8, 9, 12, 15, 17, 20, 21, 23, 24, 26, 28),
+        (2, 4, 6, 8, 12, 13, 16, 18, 19, 21, 24, 27),
+        (1, 3, 5, 6, 7, 9, 13, 14, 15, 20, 24, 25)]
+
+
+def test_measure_loads_builds_no_placement(monkeypatch):
+    # the storage load is read from the row masks, T/F
+    def no_placement(*args):
+        raise AssertionError("measure_loads built a Placement")
+
+    monkeypatch.setattr(engine, "build_placement", no_placement)
+    report = measure_loads(EX1, TOY, 3)
+    assert report.match and report.all_reference_match and report.r_measured == 2
+
+
 def no_load(*args):
     """Stands in for achieved_load, the first work measure_loads does."""
     raise AssertionError("work started before the intake checks")
