@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
@@ -34,13 +35,14 @@ from typing import NamedTuple
 
 from .bits import Bits, block_stream, le64, msb_bytes, pack, unpack
 from .loads import LoadPair, _check_kq, achieved_load, comb
-from .pda import ParameterError, Pda, _check_int, _column_mask, column_subarray
+from .pda import (ParameterError, Pda, _check_int, _check_type, _column_mask,
+                  column_subarray)
 
 # Grid cells a measure_loads request may walk, transcripts x F x K; an
 # exhaustive man(12,6) Q=8 walks 5,488,560
 MAX_TRANSCRIPT_CELLS = 10_000_000
 # Bytes a job's files, map values and reference outputs hash (each once per
-# job); man(4,2) with V = 2**23 hashes 94.4M in about 12 s
+# job); man(4,2) with V = 2**23 hashes 94.4M in about 4 s
 MAX_HASHED_BYTES = 10**8
 MAX_DECODED_VALUES = 10**7  # transcripts x N x D values copied and decoded, ~1.1 us each
 
@@ -96,6 +98,8 @@ def job_geometry(pda: Pda, job: JobSpec, q: int) -> Geometry:
     symbol): a symbol seen g times survives l <= min(g, q) times among the
     active columns and splits its blocks into l-1 parts.
     """
+    _check_type("pda", pda, Pda)
+    _check_type("job", job, JobSpec)
     _check_kq(pda.k, q)
     if job.n_files % pda.f != 0:
         raise DivisibilityError(
@@ -270,6 +274,7 @@ def plan_active_set(pda: Pda, active, job: JobSpec) -> ActiveSetPlan:
     checks ``job_geometry``. The plan is a filter of ``pda.occurrences``
     that builds no place tuple, copies no grid and stores no sender.
     """
+    _check_type("active", active, Iterable)
     active = tuple(active)
     active_mask = _column_mask(pda, active)  # before sorting, which mixed types break
     active = tuple(sorted(active))
@@ -503,13 +508,15 @@ def measure_loads(pda: Pda, job: JobSpec, q_active: int,
     and compare the measured loads with the closed form; the storage load is
     read from the row masks, T/F, so no ``Placement`` is built.
 
-    Before any work it checks ``job_geometry``, ``samples`` and three
-    budgets: transcripts x F x K up to MAX_TRANSCRIPT_CELLS, transcripts x N
-    x D up to MAX_DECODED_VALUES, ``hashed_bytes`` up to MAX_HASHED_BYTES.
+    Before any work it checks ``job_geometry``, ``samples``, ``seed`` and
+    three budgets: transcripts x F x K up to MAX_TRANSCRIPT_CELLS,
+    transcripts x N x D up to MAX_DECODED_VALUES, ``hashed_bytes`` up to
+    MAX_HASHED_BYTES.
     """
     job_geometry(pda, job, q_active)
     if samples is not None:
         _check_int("samples", samples, 1)
+    _check_int("seed", seed)
     transcripts = comb(pda.k, q_active) if samples is None else samples
     if transcripts * pda.f * pda.k > MAX_TRANSCRIPT_CELLS:
         raise ParameterError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import p1_rows, p2_rows
-from .pda import ParameterError, Pda, _check_int, pda_stats
+from .pda import ParameterError, Pda, _check_int, _check_type, pda_stats
 
 BETA_BOUND = math.sqrt(2 * math.pi) * math.e ** 2  # upper range for beta, ~18.48
 # The one tradeoff budget: each curve's exact terms x the bit length of
@@ -200,6 +200,7 @@ def achieved_load(pda: Pda, q_active: int) -> LoadPair:
     For a g-regular array the sum collapses to the single term t = g, which
     ``prop1_check`` evaluates through the same ``_load``.
     """
+    _check_type("pda", pda, Pda)
     _check_kq(pda.k, q_active)
     stats = pda_stats(pda)
     if not stats.is_comp:

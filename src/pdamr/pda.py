@@ -25,6 +25,7 @@ ascending and each symbol's places by ascending node.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -46,6 +47,12 @@ def _check_int(name: str, value, least: int | None = None) -> None:
         raise ParameterError(f"{name} must be an int, got {value!r}")
     if least is not None and value < least:
         raise ParameterError(f"{name} must be >= {least}")
+
+
+def _check_type(name: str, value, kind) -> None:
+    """Raise ParameterError naming ``name`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
 class PdaFormatError(ValueError):
@@ -294,9 +301,14 @@ def validate_pda(grid) -> ValidationReport:
     ``grid`` is a nonempty rectangular sequence of rows of ints (STAR or a
     symbol label). The label set must be exactly 1..S, numbered in row-major
     first-occurrence order; ``stack_pda`` renumbers and checks a grid
-    labelled otherwise.
+    labelled otherwise. A grid or row that is not iterable is a
+    ParameterError.
     """
-    rows = [tuple(row) for row in grid]
+    _check_type("grid", grid, Iterable)
+    rows = []
+    for row in grid:
+        _check_type("each row", row, Iterable)
+        rows.append(tuple(row))
     if not rows or not rows[0]:
         raise ValueError("grid must be nonempty")
     width = len(rows[0])
@@ -451,6 +463,7 @@ def parse_pda(text) -> Pda:
 
 def render_pda(pda: Pda) -> str:
     """PDA text in the file format accepted by ``parse_pda``."""
+    _check_type("pda", pda, Pda)
     lines = [f"{pda.f} {pda.k}"]
     for row in pda.grid:
         lines.append(" ".join("*" if entry == STAR else str(entry) for entry in row))
@@ -459,6 +472,7 @@ def render_pda(pda: Pda) -> str:
 
 def pda_stats(pda: Pda) -> PdaStats:
     """Exact derived quantities of a validated PDA."""
+    _check_type("pda", pda, Pda)
     s_t = dict(pda.s_t)
     ordinary = pda.k * pda.f - pda.t
     theta = {t: Fraction(count * t, ordinary) for t, count in s_t.items()}
@@ -474,8 +488,10 @@ def pda_stats(pda: Pda) -> PdaStats:
 
 def _column_mask(pda: Pda, nodes) -> int:
     """Bitmask of ``nodes`` (1-based labels; bit node-1). Raises
-    ParameterError unless they are nonempty, distinct ints in 1..K, and
-    EmptyStarRowError if some row keeps no star among them."""
+    ParameterError unless ``pda`` is a ``Pda`` and the nodes are nonempty,
+    distinct ints in 1..K, and EmptyStarRowError if some row keeps no star
+    among them."""
+    _check_type("pda", pda, Pda)
     if not nodes:
         raise ParameterError("nodes must be nonempty")
     if len(set(nodes)) != len(nodes):
@@ -497,6 +513,7 @@ def column_subarray(pda: Pda, nodes) -> Pda:
     subarray can be compared with the full array. Raises EmptyStarRowError if
     some row loses all its stars.
     """
+    _check_type("nodes", nodes, Iterable)
     nodes = list(nodes)
     _column_mask(pda, nodes)
     if len(nodes) == 1:  # itemgetter of one index returns the entry, not a tuple

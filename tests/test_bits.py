@@ -5,7 +5,8 @@ import hashlib
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pdamr.bits import Bits, block_stream, fnv1a64, le64, msb_bytes, pack, unpack
+from pdamr.bits import (FNV64_PRIME, Bits, _LANE_BYTES, _lane_hashes, block_stream, fnv1a64,
+                        le64, msb_bytes, pack, unpack)
 
 # published FNV-1a 64-bit reference values
 FNV_VECTORS = {
@@ -142,7 +143,8 @@ def test_block_stream_matches_per_block_definition(header, payload, nbits):
 ALL_BYTES = bytes(range(256))
 
 
-@pytest.mark.parametrize("nbits", [0, 1, 63, 64, 65, 100, 127, 128, 129, 192, 640, 700])
+@pytest.mark.parametrize("nbits", [0, 1, 63, 64, 65, 100, 127, 128, 129, 192, 640, 700,
+                                   16448, 16449])
 @pytest.mark.parametrize("header,payload", [
     (le64(5) + le64(6), b"xyz"),
     (b"", b"xyz"),
@@ -151,8 +153,36 @@ ALL_BYTES = bytes(range(256))
     (le64(7), ALL_BYTES[::-1] + ALL_BYTES),
 ], ids=["plain", "empty-header", "empty-payload", "both-empty", "all-byte-values"])
 def test_block_stream_lanes_match_scalar_blocks(header, payload, nbits):
-    # 1-block (n <= 64), 2-block (65..128) and longer streams
+    # 1-block (n <= 64), 2-block (65..128) and longer streams; 257 blocks and
+    # more hash a nonzero byte 1 of LE64(j)
     assert block_stream(header, payload, nbits) == per_block_stream(header, payload, nbits)
+
+
+def test_lane_holds_the_widest_fnv_step():
+    # the largest 64-bit state times the prime fits a lane, so no carry
+    # crosses into the next one; one byte less does not
+    assert (2**64 - 1) * FNV64_PRIME < 2 ** (8 * _LANE_BYTES)
+    assert (2**64 - 1) * FNV64_PRIME >= 2 ** (8 * _LANE_BYTES - 8)
+
+
+def fnv_from(state, data):
+    """Scalar FNV-1a over ``data`` from ``state``, by its definition."""
+    for byte in data:
+        state = ((state ^ byte) * FNV64_PRIME) % 2**64
+    return state
+
+
+@pytest.mark.parametrize("state", [0, 2**63, 2**64 - 2, 2**64 - 1],
+                         ids=["zero", "2^63", "2^64-2", "2^64-1"])
+@pytest.mark.parametrize("payload", [b"", b"xyz", ALL_BYTES],
+                         ids=["empty", "xyz", "all-byte-values"])
+def test_lane_hashes_match_scalar_from_any_state(state, payload):
+    # A product needs a lane's top byte only from a state within about 2**33
+    # of 2**64, which a stream reaches about once in 2**31 steps; so the
+    # start states are chosen, not hashed
+    for nblocks in (2, 3, 257):
+        scalar = [fnv_from(state, le64(j) + payload) for j in range(nblocks)]
+        assert _lane_hashes(state, payload, nblocks) == pack(scalar, 64)
 
 
 def test_block_stream_rejects_negative_length():

@@ -571,7 +571,11 @@ def test_argument_checks_raise_parameter_error(call):
     ("samples", lambda: measure_loads(man_pda(4, 2), JobSpec(6, 3, 8, 8, 8), 3, samples=2.5)),
     ("n_files", lambda: JobSpec(6.0, 3, 8, 8, 8)),
     ("seed", lambda: JobSpec(6, 3, 8, 8, 8, seed=1.5)),
-], ids=["subarray", "plan", "q", "samples", "jobspec", "seed"])
+    ("seed", lambda: measure_loads(man_pda(4, 2), JobSpec(6, 3, 8, 8, 8), 3, samples=2, seed=[1])),
+    ("seed", lambda: measure_loads(man_pda(4, 2), JobSpec(6, 3, 8, 8, 8), 3, samples=2, seed="x")),
+    ("seed", lambda: measure_loads(man_pda(4, 2), JobSpec(6, 3, 8, 8, 8), 3, samples=2, seed=1.5)),
+], ids=["subarray", "plan", "q", "samples", "jobspec", "seed", "sample-seed-list",
+        "sample-seed-str", "sample-seed-float"])
 def test_non_int_arguments_raise_parameter_error(name, call):
     # a float or str must not escape as a TypeError, or pass unnoticed
     with pytest.raises(ParameterError, match=f"^{name} must be an int, got "):
@@ -596,6 +600,29 @@ def test_constructor_and_closed_form_arguments_raise_parameter_error(name, call)
     # a bare TypeError, AttributeError or ValueError from deeper in the library
     # must not escape; the ParameterError names the argument
     with pytest.raises(ParameterError, match=f"^{name} must "):
+        call()
+
+
+@pytest.mark.parametrize("name, call", [
+    ("pda", lambda: pdamr.render_pda(5)),
+    ("pda", lambda: pdamr.pda_stats(5)),
+    ("pda", lambda: pdamr.achieved_load(5, 2)),
+    ("pda", lambda: measure_loads(5, JobSpec(6, 3, 8, 8, 8), 3)),
+    ("job", lambda: measure_loads(man_pda(4, 2), (6, 3, 8, 8, 8), 3)),
+    ("pda", lambda: pdamr.job_geometry(5, JobSpec(6, 3, 8, 8, 8), 3)),
+    ("job", lambda: pdamr.job_geometry(man_pda(4, 2), (6, 3), 3)),
+    ("grid", lambda: pdamr.validate_pda(5)),
+    ("each row", lambda: pdamr.validate_pda([5])),
+    ("active", lambda: pdamr.run_transcript(man_pda(4, 2), JobSpec(6, 3, 8, 8, 8), 5)),
+    ("pda", lambda: pdamr.run_transcript(5, JobSpec(6, 3, 8, 8, 8), (1, 2, 3))),
+    ("pda", lambda: pdamr.column_subarray(5, [1, 2])),
+    ("nodes", lambda: pdamr.column_subarray(man_pda(4, 2), 5)),
+], ids=["render", "stats", "achieved", "measure-pda", "measure-job", "geometry-pda",
+        "geometry-job", "validate-grid", "validate-row", "transcript-active", "transcript-pda",
+        "subarray-pda", "subarray-nodes"])
+def test_entry_points_check_argument_types(name, call):
+    # not an AttributeError or TypeError from deeper in the library
+    with pytest.raises(ParameterError, match=f"^{name} must be of type "):
         call()
 
 
