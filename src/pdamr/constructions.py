@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
-from .pda import STAR, ParameterError, Pda, PdaValidationError, _check_int, _intake
+from .pda import STAR, ParameterError, Pda, PdaValidationError, _check_int, _check_type, _intake
 
 
 # Largest array, in cells (rows x columns), that a family constructor builds:
@@ -60,9 +60,7 @@ def man_pda(k_nodes: int, i: int) -> Pda:
     array.
     """
     _check_int("k_nodes", k_nodes, 1)
-    _check_int("i", i)
-    if not 1 <= i <= k_nodes:
-        raise ParameterError(f"i must be in 1..{k_nodes}, got {i}")
+    _check_int("i", i, 1, k_nodes)
     # C(K,i) >= 2**min(i,K-i)
     _check_cells(f"man({k_nodes},{i})", lambda: math.comb(k_nodes, i), k_nodes,
                  min(i, k_nodes - i) + 1)
@@ -182,8 +180,7 @@ def stack_pda(*pdas: Pda) -> Pda:
     if not pdas:
         raise ParameterError("stack_pda needs at least one PDA")
     for pda in pdas:
-        if not isinstance(pda, Pda):
-            raise ParameterError(f"pdas must each be a Pda, got {pda!r}")
+        _check_type("pdas", pda, Pda)
     widths = sorted({pda.k for pda in pdas})
     if len(widths) > 1:
         raise ParameterError(f"stacked PDAs need equal K, got K in {widths}")

@@ -370,8 +370,9 @@ def run_transcript(pda: Pda, job: JobSpec, active,
     report reads its bit tallies from it.
     """
     wl = workload if workload is not None else Workload(job)
+    _check_type("workload", wl, Workload)
     if wl.job != job:
-        raise ValueError("workload belongs to a different job")
+        raise ParameterError("workload belongs to a different job")
     plan = plan_active_set(pda, active, job)
     eta, block_bits = job_geometry(pda, job, len(plan.active))
     v = job.v_bits

@@ -72,9 +72,7 @@ class TradeoffCurve:
 
 def _check_kq(k_nodes: int, q_active: int) -> None:
     _check_int("k_nodes", k_nodes, 1)
-    _check_int("q_active", q_active)
-    if not 1 <= q_active <= k_nodes:
-        raise ParameterError(f"q_active must be in 1..{k_nodes}, got {q_active}")
+    _check_int("q_active", q_active, 1, k_nodes)
 
 
 def u_value(k_nodes: int, q_active: int, u: int) -> Fraction:
@@ -83,9 +81,7 @@ def u_value(k_nodes: int, q_active: int, u: int) -> Fraction:
     contribution to the shuffle. Defined for u in 1..K; constant in u over
     {1,2} and strictly decreasing beyond when Q >= 3."""
     _check_kq(k_nodes, q_active)
-    _check_int("u", u)
-    if not 1 <= u <= k_nodes:
-        raise ParameterError(f"u must be in 1..{k_nodes}, got {u}")
+    _check_int("u", u, 1, k_nodes)
     ls = range(max(1, u - k_nodes + q_active - 1), min(u, q_active))
     den = math.lcm(*ls)  # one common denominator, so the terms sum as ints
     num = comb(k_nodes - u, q_active - 1) * den + sum(
@@ -98,10 +94,7 @@ def z_value(k_nodes: int, q_active: int, u: int) -> Fraction:
     sum_l ((Q-l)/(Q*l)) * C(u,l) * C(K-u,Q-l) over l in [u+Q-K .. min(u,Q)],
     which is C(K,Q) times the fundamental tradeoff at r = u."""
     _check_kq(k_nodes, q_active)
-    _check_int("u", u)
-    if not k_nodes - q_active + 1 <= u <= k_nodes:
-        raise ParameterError(
-            f"u must be in {k_nodes - q_active + 1}..{k_nodes}, got {u}")
+    _check_int("u", u, k_nodes - q_active + 1, k_nodes)
     return comb(k_nodes, q_active) * optimal_load(k_nodes, q_active, u)
 
 
@@ -223,9 +216,7 @@ def optimal_file_complexity(k_nodes: int, r: int) -> int:
     """Minimum number of file batches any scheme needs to sit exactly on the
     tradeoff at integer storage r (met with equality by the subset family)."""
     _check_int("k_nodes", k_nodes, 1)
-    _check_int("r", r)
-    if not 1 <= r <= k_nodes:
-        raise ParameterError(f"r must be in 1..{k_nodes}, got {r}")
+    _check_int("r", r, 1, k_nodes)
     return comb(k_nodes, r)
 
 
@@ -277,10 +268,7 @@ def prop1_check(k_nodes: int, r: int, q_active: int) -> Prop1Report:
     array: f_construction is the family's row count (``p1_rows`` / ``p2_rows``,
     refused above the cell limit as ``gen`` refuses it)."""
     _check_kq(k_nodes, q_active)
-    _check_int("r", r)
-    if not k_nodes - q_active + 1 <= r <= k_nodes - 1:
-        raise ParameterError(
-            f"r must be in {k_nodes - q_active + 1}..{k_nodes - 1}, got {r}")
+    _check_int("r", r, k_nodes - q_active + 1, k_nodes - 1)
     family, q, f_construction = _family_for(k_nodes, r)
 
     # both families are r-regular with T/F = r: P1 has g = m = r, P2 g = m(q-1) = r

@@ -40,11 +40,14 @@ class ParameterError(ValueError):
     (the CLI's exit code 3)."""
 
 
-def _check_int(name: str, value, least: int | None = None) -> None:
-    """Raise ParameterError naming ``name`` unless ``value`` is an int (a
-    bool counts, as in the intake) and, if ``least`` is given, >= ``least``."""
+def _check_int(name: str, value, least: int | None = None, most: int | None = None) -> None:
+    """Raise ParameterError naming ``name`` unless ``value`` is an int (a bool
+    counts, as in the intake), >= ``least`` if given, and in least..most in the
+    range form, which passes ``most`` (and then requires ``least``) too."""
     if not isinstance(value, int):
         raise ParameterError(f"{name} must be an int, got {value!r}")
+    if most is not None and not least <= value <= most:
+        raise ParameterError(f"{name} must be in {least}..{most}, got {value}")
     if least is not None and value < least:
         raise ParameterError(f"{name} must be >= {least}")
 
@@ -301,8 +304,8 @@ def validate_pda(grid) -> ValidationReport:
     ``grid`` is a nonempty rectangular sequence of rows of ints (STAR or a
     symbol label). The label set must be exactly 1..S, numbered in row-major
     first-occurrence order; ``stack_pda`` renumbers and checks a grid
-    labelled otherwise. A grid or row that is not iterable is a
-    ParameterError.
+    labelled otherwise. A grid or row that is not iterable, and an empty or
+    ragged grid, is a ParameterError.
     """
     _check_type("grid", grid, Iterable)
     rows = []
@@ -310,10 +313,10 @@ def validate_pda(grid) -> ValidationReport:
         _check_type("each row", row, Iterable)
         rows.append(tuple(row))
     if not rows or not rows[0]:
-        raise ValueError("grid must be nonempty")
+        raise ParameterError("grid must be nonempty")
     width = len(rows[0])
     if any(len(row) != width for row in rows):
-        raise ValueError("grid must be rectangular")
+        raise ParameterError("grid must be rectangular")
 
     label_of, labelled, masks, rows_of, cols_of, violations = _scan(rows)
     symbols = sorted(label_of)
@@ -487,19 +490,16 @@ def pda_stats(pda: Pda) -> PdaStats:
 
 
 def _column_mask(pda: Pda, nodes) -> int:
-    """Bitmask of ``nodes`` (1-based labels; bit node-1). Raises
-    ParameterError unless ``pda`` is a ``Pda`` and the nodes are nonempty,
-    distinct ints in 1..K, and EmptyStarRowError if some row keeps no star
-    among them."""
+    """Bitmask of ``nodes`` (1-based labels; bit node-1). Raises ParameterError
+    unless ``pda`` is a ``Pda`` and the nodes are nonempty, ints in 1..K (each
+    checked before the set test) and distinct; EmptyStarRowError if a row keeps no star."""
     _check_type("pda", pda, Pda)
     if not nodes:
         raise ParameterError("nodes must be nonempty")
+    for node in nodes:
+        _check_int("each node", node, 1, pda.k)
     if len(set(nodes)) != len(nodes):
         raise ParameterError("nodes must be distinct")
-    for node in nodes:
-        _check_int("each node", node)
-        if not 1 <= node <= pda.k:
-            raise ParameterError(f"node {node} outside 1..{pda.k}")
     kept = sum(1 << (node - 1) for node in nodes)
     for i, mask in enumerate(pda.row_star_masks):
         if not mask & kept:

@@ -574,8 +574,11 @@ def test_argument_checks_raise_parameter_error(call):
     ("seed", lambda: measure_loads(man_pda(4, 2), JobSpec(6, 3, 8, 8, 8), 3, samples=2, seed=[1])),
     ("seed", lambda: measure_loads(man_pda(4, 2), JobSpec(6, 3, 8, 8, 8), 3, samples=2, seed="x")),
     ("seed", lambda: measure_loads(man_pda(4, 2), JobSpec(6, 3, 8, 8, 8), 3, samples=2, seed=1.5)),
+    ("each node", lambda: pdamr.column_subarray(man_pda(4, 2), [[1], 2, 3])),
+    ("each node", lambda: pdamr.plan_active_set(man_pda(4, 2), [[1], 2, 3],
+                                                JobSpec(6, 3, 8, 8, 8))),
 ], ids=["subarray", "plan", "q", "samples", "jobspec", "seed", "sample-seed-list",
-        "sample-seed-str", "sample-seed-float"])
+        "sample-seed-str", "sample-seed-float", "subarray-unhashable", "plan-unhashable"])
 def test_non_int_arguments_raise_parameter_error(name, call):
     # a float or str must not escape as a TypeError, or pass unnoticed
     with pytest.raises(ParameterError, match=f"^{name} must be an int, got "):
@@ -617,13 +620,48 @@ def test_constructor_and_closed_form_arguments_raise_parameter_error(name, call)
     ("pda", lambda: pdamr.run_transcript(5, JobSpec(6, 3, 8, 8, 8), (1, 2, 3))),
     ("pda", lambda: pdamr.column_subarray(5, [1, 2])),
     ("nodes", lambda: pdamr.column_subarray(man_pda(4, 2), 5)),
+    ("workload", lambda: pdamr.run_transcript(man_pda(4, 2), JobSpec(6, 3, 8, 8, 8), (1, 2, 3),
+                                              workload=5)),
 ], ids=["render", "stats", "achieved", "measure-pda", "measure-job", "geometry-pda",
         "geometry-job", "validate-grid", "validate-row", "transcript-active", "transcript-pda",
-        "subarray-pda", "subarray-nodes"])
+        "subarray-pda", "subarray-nodes", "transcript-workload"])
 def test_entry_points_check_argument_types(name, call):
     # not an AttributeError or TypeError from deeper in the library
     with pytest.raises(ParameterError, match=f"^{name} must be of type "):
         call()
+
+
+@pytest.mark.parametrize("message, call", [
+    ("grid must be nonempty", lambda: pdamr.validate_pda([])),
+    ("grid must be rectangular", lambda: pdamr.validate_pda([[0, 0], [0]])),
+    ("workload belongs to a different job",
+     lambda: pdamr.run_transcript(man_pda(4, 2), JobSpec(6, 3, 8, 8, 8), (1, 2, 3),
+                                  workload=engine.Workload(JobSpec(6, 3, 8, 8, 16)))),
+], ids=["validate-empty", "validate-ragged", "transcript-workload-job"])
+def test_shape_and_job_mismatches_raise_parameter_error(message, call):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("name, lo, hi, call", [
+    ("q_active", 1, 4, lambda q: pdamr.achieved_load(man_pda(4, 4), q)),
+    ("u", 1, 4, lambda u: pdamr.u_value(4, 3, u)),
+    ("u", 2, 4, lambda u: pdamr.z_value(4, 3, u)),
+    ("r", 1, 4, lambda r: pdamr.optimal_file_complexity(4, r)),
+    ("r", 3, 5, lambda r: pdamr.prop1_check(6, r, 4)),
+    ("i", 1, 4, lambda i: man_pda(4, i)),
+    ("each node", 1, 4, lambda node: pdamr.column_subarray(man_pda(4, 4), [node])),
+], ids=["q_active", "u_value", "z_value", "file-complexity", "prop1", "man-i", "subarray-node"])
+def test_int_ranges_share_one_message(name, lo, hi, call):
+    # lo-1 and hi+1 are refused by the one range rule, lo and hi pass it
+    for value in (lo - 1, hi + 1):
+        with pytest.raises(ParameterError, match=rf"^{name} must be in {lo}\.\.{hi}, got {value}$"):
+            call(value)
+    call(lo)
+    try:
+        call(hi)
+    except NoMatchingFamilyError:  # prop1's r = K-1 is never 1/q or (q-1)/q with q <= K-1
+        assert (name, hi) == ("r", 5)
 
 
 def test_bools_count_as_ints():
