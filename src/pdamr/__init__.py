@@ -1,7 +1,7 @@
 """Straggler-tolerant coded MapReduce shuffle schemes from placement delivery
 arrays, with exact-rational load verification."""
 
-from .bits import Bits, block_stream, fnv1a64, le64
+from .bits import Bits, block_stream, le64
 from .constructions import (
     ArrayTooLargeError,
     full_star_pda,
@@ -70,7 +70,7 @@ __all__ = [
     "Prop1Report", "STAR", "TradeoffCurve", "TranscriptReport",
     "ValidationReport", "Violation", "Workload", "achieved_load",
     "block_stream", "build_placement", "column_subarray", "comb",
-    "full_star_pda", "fnv1a64", "job_geometry", "le64", "man_pda",
+    "full_star_pda", "job_geometry", "le64", "man_pda",
     "measure_loads", "optimal_file_complexity",
     "optimal_load", "p1_pda", "p2_pda", "parse_pda", "pda_stats",
     "plan_active_set", "prop1_check", "render_pda",

@@ -1,4 +1,4 @@
-"""Bit-exact binary strings and the FNV-1a block stream behind synthetic workloads.
+"""Bit-exact binary strings and the SHAKE-256 block stream behind synthetic workloads.
 
 Every payload the shuffle engine touches (files, intermediate values, signals)
 is a plain bit string. Lengths are not required to be byte multiples, so the
@@ -7,40 +7,18 @@ bit of the string stored in the most significant position. ``pack`` and
 ``unpack`` are the one rule that lays equal-width values end to end this way
 (blocks, payloads and signals alike), and ``msb_bytes`` the one byte padding.
 
-``block_stream`` hashes the blocks of a stream side by side, each in one lane
-of a packed int. A lane is as wide as one FNV-1a step needs and no wider: a
-64-bit state times the 41-bit prime stays below 2**105, so 14 bytes hold the
-product and no carry reaches the next lane. The block index LE64(j) is
-hashed in lanes too, one packed step per index byte.
+``block_stream`` is the one hash: the first ``nbits`` of the SHAKE-256
+output of LE64(len(header)) || header || payload. The schemes are universal
+in their map and reduce functions, so no load or report depends on which
+hash this is; the extendable output gives any width from one call.
 """
 
 from __future__ import annotations
 
-import struct
+import hashlib
 from dataclasses import dataclass
 
-FNV64_OFFSET = 14695981039346656037
-FNV64_PRIME = 1099511628211
-
 _MASK64 = (1 << 64) - 1
-_BYTE_VALUES = tuple(range(256))
-# bytes of one lane: the widest product of a step, (2**64 - 1) * FNV64_PRIME
-_LANE_BYTES = -(-(64 + FNV64_PRIME.bit_length()) // 8)
-
-
-def _fnv_update(state: int, data: bytes, table, mask: int) -> int:
-    """FNV-1a byte steps over ``data``: xor in ``table[byte]``, multiply by
-    the prime, keep ``mask``. With the identity table and the 64-bit mask
-    this is plain FNV-1a; with lane-replicated ones it steps every lane of a
-    packed state at once."""
-    for byte in data:
-        state = ((state ^ table[byte]) * FNV64_PRIME) & mask
-    return state
-
-
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string."""
-    return _fnv_update(FNV64_OFFSET, data, _BYTE_VALUES, _MASK64)
 
 
 def le64(value: int) -> bytes:
@@ -113,50 +91,16 @@ class Bits:
         return Bits(value, nbits)
 
 
-def _lane_hashes(state: int, payload: bytes, nblocks: int) -> int:
-    """``pack`` of the 64-bit FNV-1a hashes of LE64(j) || payload for j in
-    0..nblocks-1, each started from ``state``: one ``_LANE_BYTES``-byte lane
-    per block, lane 0 most significant. Step k of the index XORs byte k of
-    every lane's LE64(j) in at once; it is 0 in every lane when nblocks <=
-    256**k, so those steps only multiply."""
-    rep = int.from_bytes((bytes(_LANE_BYTES - 1) + b"\x01") * nblocks, "big")
-    index = struct.pack(f"<{nblocks}Q", *range(nblocks))
-    lanes = bytearray(_LANE_BYTES * nblocks)
-    steps = [0] * 8
-    for k in range(-(-(nblocks - 1).bit_length() // 8)):
-        lanes[_LANE_BYTES - 1::_LANE_BYTES] = index[k::8]
-        steps[k] = int.from_bytes(lanes, "big")
-    mask = _MASK64 * rep
-    packed = _fnv_update(state * rep, range(8), steps, mask)
-    packed = _fnv_update(packed, payload, {byte: byte * rep for byte in set(payload)}, mask)
-    raw = packed.to_bytes(_LANE_BYTES * nblocks, "big")
-    hashes = bytearray(8 * nblocks)
-    for i in range(8):
-        hashes[i::8] = raw[_LANE_BYTES - 8 + i::_LANE_BYTES]
-    return int.from_bytes(hashes, "big")
-
-
 def block_stream(header: bytes, payload: bytes, nbits: int) -> Bits:
-    """First ``nbits`` of the stream b_0 || b_1 || ... where block j is the
-    64-bit FNV-1a hash of header || LE64(j) || payload, appended MSB first.
+    """First ``nbits`` of the SHAKE-256 output of LE64(len(header)) || header
+    || payload, MSB first.
 
     This single construction generates synthetic files (empty payload),
     map outputs (payload = file bytes) and reduce outputs (payload =
-    concatenated intermediate values).
-
-    Every block hashes the same header and payload, so a stream of two or
-    more blocks hashes the header once, then the block indices and the
-    payload once for all blocks together (``_lane_hashes``): block j is lane
-    j of one packed int. A lane is 14 bytes, the fewest that hold a 64-bit
-    state times the 41-bit prime (below 2**105), so no carry crosses a lane
-    and each lane follows its own scalar FNV-1a.
+    concatenated intermediate values). The length prefix keeps the header
+    and payload apart, so no two (header, payload) pairs share an input.
     """
     if nbits < 0:
         raise ValueError("negative bit length")
-    nblocks = -(-nbits // 64)
-    if nblocks == 0:
-        return Bits(0, 0)
-    if nblocks == 1:
-        return Bits(fnv1a64(header + le64(0) + payload) >> (64 - nbits), nbits)
-    state = _fnv_update(FNV64_OFFSET, header, _BYTE_VALUES, _MASK64)
-    return Bits(_lane_hashes(state, payload, nblocks) >> (nblocks * 64 - nbits), nbits)
+    digest = hashlib.shake_256(le64(len(header)) + header + payload).digest(-(-nbits // 8))
+    return Bits(int.from_bytes(digest, "big") >> (-nbits % 8), nbits)

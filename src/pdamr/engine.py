@@ -5,11 +5,14 @@ describes, over every (or a sampled set of) active node subsets, counts the
 signal bits exactly, and checks the reduced outputs of every active node
 against a direct reference evaluation that ignores placement entirely.
 
-The synthetic workload is deterministic and nonlinear: files are FNV-1a
-counter streams of the job seed, each intermediate value is the first V bits
-of an FNV-1a block stream keyed by (function, file), and each reduce output
-hashes its function's intermediate values packed end to end. Nothing in
-the shuffle or reduce path exploits any structure of these functions.
+The synthetic workload is deterministic and nonlinear: every file, map
+value and reduce output is a ``bits.block_stream`` (SHAKE-256). Files are
+streams of the job seed, each intermediate value is the first V bits of a
+stream keyed by (function, file) over the file bytes, and each reduce output
+hashes its function's intermediate values packed end to end. One tag byte
+in front of each header names the kind, so no two kinds share a hash input.
+Nothing in the shuffle or reduce path exploits any structure of these
+functions.
 
 Every value is a plain int of known width from map to reduce. A job's map
 outputs live in per-function columns (N values each) and each function
@@ -42,9 +45,12 @@ from .pda import (ParameterError, Pda, _check_int, _check_type, _column_mask,
 # exhaustive man(12,6) Q=8 walks 5,488,560
 MAX_TRANSCRIPT_CELLS = 10_000_000
 # Bytes a job's files, map values and reference outputs hash (each once per
-# job); man(4,2) with V = 2**23 hashes 94.4M in about 4 s
-MAX_HASHED_BYTES = 10**8
+# job); man(4,2) with V = 2**23 hashes 37.7M in about 0.6 s
+MAX_HASHED_BYTES = 5 * 10**7
 MAX_DECODED_VALUES = 10**7  # transcripts x N x D values copied and decoded, ~1.1 us each
+
+# The tag byte in front of each stream kind's header
+FILE_TAG, MAP_TAG, REDUCE_TAG = b"\x00", b"\x01", b"\x02"
 
 
 class DivisibilityError(ParameterError):
@@ -129,14 +135,17 @@ def job_geometry(pda: Pda, job: JobSpec, q: int) -> Geometry:
 
 
 def hashed_bytes(job: JobSpec) -> int:
-    """Bytes FNV-1a hashes for ``job`` once: its N files, N*D map values and
-    D reference outputs. Transcripts that match reuse all of them."""
+    """Bytes SHAKE-256 absorbs and squeezes for ``job`` once: its N files,
+    N*D map values and D reference outputs. A stream absorbs LE64(len(header))
+    || header || payload and squeezes ceil(nbits/8) bytes; a header is one
+    tag byte and one or two LE64 keys. Transcripts that match reuse all of
+    them."""
     def stream(nbits: int, header: int, payload: int) -> int:
-        return -(-nbits // 64) * (header + 8 + payload)  # 8: LE64 block index
+        return 8 + header + payload + -(-nbits // 8)
     n, d = job.n_files, job.d_functions
-    return (n * stream(job.w_bits, 16, 0)
-            + n * d * stream(job.v_bits, 16, -(-job.w_bits // 8))
-            + d * stream(job.u_bits, 8, -(-n * job.v_bits // 8)))
+    return (n * stream(job.w_bits, 17, 0)
+            + n * d * stream(job.v_bits, 17, -(-job.w_bits // 8))
+            + d * stream(job.u_bits, 9, -(-n * job.v_bits // 8)))
 
 
 class Workload:
@@ -160,17 +169,18 @@ class Workload:
         self._reference: dict[int, Bits] | None = None
 
     def file(self, n: int) -> bytes:
-        """File n (1-based): W bits of the seeded counter stream, packed MSB-first."""
+        """File n (1-based): the first W bits of the block stream keyed by
+        FILE_TAG || LE64(seed) || LE64(n) over no payload, packed MSB-first."""
         if n not in self._files:
             self._files[n] = block_stream(
-                le64(self.job.seed) + le64(n), b"", self.job.w_bits).to_bytes()
+                FILE_TAG + le64(self.job.seed) + le64(n), b"", self.job.w_bits).to_bytes()
         return self._files[n]
 
     def iva(self, d: int, n: int) -> int:
         """Intermediate value of function d on file n: first V bits of the
-        block stream keyed by LE64(d) || LE64(n) over the file bytes.
+        block stream keyed by MAP_TAG || LE64(d) || LE64(n) over the file bytes.
         Not cached; ``column`` calls it once per (d, n) and job."""
-        return block_stream(le64(d) + le64(n), self.file(n), self.job.v_bits).value
+        return block_stream(MAP_TAG + le64(d) + le64(n), self.file(n), self.job.v_bits).value
 
     def column(self, d: int) -> list[int]:
         """The N intermediate values of function d, file n at index n-1."""
@@ -192,9 +202,9 @@ class Workload:
         return self._blocks[key]
 
     def reduce_output(self, d: int, values: list[int]) -> Bits:
-        """Reduce function d: first U bits of the block stream keyed by LE64(d)
-        over the N V-bit intermediate values of d, as the ``bits.msb_bytes``
-        of their ``bits.pack``.
+        """Reduce function d: first U bits of the block stream keyed by
+        REDUCE_TAG || LE64(d) over the N V-bit intermediate values of d, as
+        the ``bits.msb_bytes`` of their ``bits.pack``.
 
         Memoized on (d, values); the payload is packed only on a miss, and a
         value outside 0..2**V-1 is refused there, so it is never cached."""
@@ -206,7 +216,7 @@ class Workload:
             if min(key[1]) < 0 or max(key[1]) >> v:
                 raise ValueError(f"intermediate values must fit in {v} bits")
             payload = msb_bytes(pack(key[1], v), len(key[1]) * v)
-            self._reduced[key] = block_stream(le64(d), payload, self.job.u_bits)
+            self._reduced[key] = block_stream(REDUCE_TAG + le64(d), payload, self.job.u_bits)
         return self._reduced[key]
 
     def reference(self) -> dict[int, Bits]:

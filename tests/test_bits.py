@@ -5,21 +5,7 @@ import hashlib
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pdamr.bits import (FNV64_PRIME, Bits, _LANE_BYTES, _lane_hashes, block_stream, fnv1a64,
-                        le64, msb_bytes, pack, unpack)
-
-# published FNV-1a 64-bit reference values
-FNV_VECTORS = {
-    b"": 0xCBF29CE484222325,
-    b"a": 0xAF63DC4C8601EC8C,
-    b"b": 0xAF63DF4C8601F1A5,
-    b"foobar": 0x85944171F73967E8,
-}
-
-
-@pytest.mark.parametrize("data,expected", sorted(FNV_VECTORS.items()))
-def test_fnv1a64_reference_vectors(data, expected):
-    assert fnv1a64(data) == expected
+from pdamr.bits import Bits, block_stream, le64, msb_bytes, pack, unpack
 
 
 def test_le64():
@@ -102,9 +88,17 @@ def test_xor_involution(bits):
     assert bits ^ zero == bits
 
 
+def shake_stream(header, payload, nbits):
+    """block_stream by its definition, digit by digit: the first ``nbits``
+    binary digits of SHAKE-256 over LE64(len(header)) || header || payload."""
+    data = len(header).to_bytes(8, "little") + header + payload
+    digits = "".join(format(byte, "08b") for byte in hashlib.shake_256(data).digest(-(-nbits // 8)))
+    return Bits(int(digits[:nbits] or "0", 2), nbits)
+
+
 def test_block_stream_first_block():
     header, payload = le64(3) + le64(9), b"xyz"
-    first = fnv1a64(header + le64(0) + payload)
+    first = int.from_bytes(hashlib.shake_256(le64(16) + header + payload).digest(8), "big")
     assert block_stream(header, payload, 64) == Bits(first, 64)
     # shorter requests are prefixes
     assert block_stream(header, payload, 10).value == first >> 54
@@ -125,64 +119,18 @@ def test_block_stream_avalanche():
     assert a != b
 
 
-def per_block_stream(header, payload, nbits):
-    """block_stream by its definition: one scalar FNV-1a hash per block."""
-    nblocks = -(-nbits // 64)
-    value = 0
-    for j in range(nblocks):
-        value = (value << 64) | fnv1a64(header + le64(j) + payload)
-    return Bits(value >> (nblocks * 64 - nbits), nbits)
-
-
 @given(st.binary(max_size=24), st.binary(max_size=300),
-       st.integers(min_value=0, max_value=700))
-def test_block_stream_matches_per_block_definition(header, payload, nbits):
-    assert block_stream(header, payload, nbits) == per_block_stream(header, payload, nbits)
+       st.integers(min_value=0, max_value=2200))
+@example(b"", b"", 0)
+@example(b"", b"", 1)
+@example(b"\x01", b"xyz", 7)
+@example(b"\x01", b"xyz", 9)
+@example(b"", b"", 1089)  # 137 bytes out: one past SHAKE-256's 136-byte rate
+def test_block_stream_matches_shake_256(header, payload, nbits):
+    assert block_stream(header, payload, nbits) == shake_stream(header, payload, nbits)
 
 
 ALL_BYTES = bytes(range(256))
-
-
-@pytest.mark.parametrize("nbits", [0, 1, 63, 64, 65, 100, 127, 128, 129, 192, 640, 700,
-                                   16448, 16449])
-@pytest.mark.parametrize("header,payload", [
-    (le64(5) + le64(6), b"xyz"),
-    (b"", b"xyz"),
-    (le64(5), b""),
-    (b"", b""),
-    (le64(7), ALL_BYTES[::-1] + ALL_BYTES),
-], ids=["plain", "empty-header", "empty-payload", "both-empty", "all-byte-values"])
-def test_block_stream_lanes_match_scalar_blocks(header, payload, nbits):
-    # 1-block (n <= 64), 2-block (65..128) and longer streams; 257 blocks and
-    # more hash a nonzero byte 1 of LE64(j)
-    assert block_stream(header, payload, nbits) == per_block_stream(header, payload, nbits)
-
-
-def test_lane_holds_the_widest_fnv_step():
-    # the largest 64-bit state times the prime fits a lane, so no carry
-    # crosses into the next one; one byte less does not
-    assert (2**64 - 1) * FNV64_PRIME < 2 ** (8 * _LANE_BYTES)
-    assert (2**64 - 1) * FNV64_PRIME >= 2 ** (8 * _LANE_BYTES - 8)
-
-
-def fnv_from(state, data):
-    """Scalar FNV-1a over ``data`` from ``state``, by its definition."""
-    for byte in data:
-        state = ((state ^ byte) * FNV64_PRIME) % 2**64
-    return state
-
-
-@pytest.mark.parametrize("state", [0, 2**63, 2**64 - 2, 2**64 - 1],
-                         ids=["zero", "2^63", "2^64-2", "2^64-1"])
-@pytest.mark.parametrize("payload", [b"", b"xyz", ALL_BYTES],
-                         ids=["empty", "xyz", "all-byte-values"])
-def test_lane_hashes_match_scalar_from_any_state(state, payload):
-    # A product needs a lane's top byte only from a state within about 2**33
-    # of 2**64, which a stream reaches about once in 2**31 steps; so the
-    # start states are chosen, not hashed
-    for nblocks in (2, 3, 257):
-        scalar = [fnv_from(state, le64(j) + payload) for j in range(nblocks)]
-        assert _lane_hashes(state, payload, nblocks) == pack(scalar, 64)
 
 
 def test_block_stream_rejects_negative_length():
@@ -191,7 +139,7 @@ def test_block_stream_rejects_negative_length():
 
 
 def test_block_stream_pinned_digest():
-    # computed with the scalar one-hash-per-block implementation
+    # computed with shake_stream, the definition written out above
     stream = block_stream(le64(1) + le64(2), ALL_BYTES * 8, 8192)
     assert (hashlib.sha256(stream.to_bytes()).hexdigest()
-            == "c06641f5d04d99bce1cc0a0f53786fae12d23493d28998c97e4ce26357127178")
+            == "9f8366e2db65f68542fd5d2503f54035e2e6bd71be6cd63a082d1f86724142a3")

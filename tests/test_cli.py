@@ -509,7 +509,7 @@ def test_simulate_budget_refuses_before_any_work(capsys, tmp_path):
 
 
 def test_simulate_hashed_bytes_budget_refuses_before_any_work(capsys, tmp_path):
-    # V = 2**30 passes the cell budget (96 cells) but would hash 12 GB
+    # V = 2**30 passes the cell budget (96 cells) but would hash 4.8 GB
     path = tmp_path / "ex1.pda"
     run(capsys, "gen", "man", "--k", "4", "--i", "2", "--out", str(path))
     start = time.perf_counter()
@@ -519,7 +519,7 @@ def test_simulate_hashed_bytes_budget_refuses_before_any_work(capsys, tmp_path):
     assert time.perf_counter() - start < 2.0
     assert code == 3 and stdout == ""
     assert stderr == ("error: the job's files, map values and reference outputs hash "
-                      "12079595712 bytes, above the limit of 100000000\n")
+                      "4831839075 bytes, above the limit of 50000000\n")
 
 
 # sha256 of the whole output of `tradeoff --k 40 --all-q`, recorded before

@@ -280,8 +280,8 @@ def test_reference_oracle():
 # ascending. V = 60 is not a byte multiple, so values straddle byte
 # boundaries; with N = 5 the 300-bit reduce payload also ends in 4 pad bits.
 PINNED_REFERENCE = {
-    6: "e4a9add3464db97a100f8ce0d5a47822f3b764d6f7a506841a4ac3301d0808e7",
-    5: "bb0342698f6f9d60721147aee6969e3dea7ef1f9bc394455f8ce673b0a3a0e69",
+    6: "321672c0d6253d96bca3b5889a87450632456ba5a91560e08f5725e7e4c64f12",
+    5: "fec4fbef57e60e1ba919d09fdb9e2277f3d2da47cc1d96d0e7a6f6c72c5e7852",
 }
 
 
@@ -456,7 +456,27 @@ def test_reduce_memo_never_serves_another_payload():
     assert results[2:] == results[:2]
     for payload, got in zip((ivas, flipped), results):
         packed = b"".join(value.to_bytes(15, "big") for value in payload)  # V = 120
-        assert got == block_stream(le64(2), packed, TOY.u_bits)
+        assert got == block_stream(b"\x02" + le64(2), packed, TOY.u_bits)
+
+
+def test_stream_kinds_never_share_a_hash_input(monkeypatch):
+    # seed = d = n = 1 keys the file and the map value by the same LE64
+    # bytes; each kind's own tag byte keeps their hash inputs apart even over
+    # the same payload
+    wl = Workload(JobSpec(1, 1, 64, 64, 64, seed=1))
+    headers = []
+
+    def recording(header, payload, nbits):
+        headers.append(header)
+        return block_stream(header, payload, nbits)
+
+    monkeypatch.setattr(engine, "block_stream", recording)
+    payload = wl.file(1)
+    wl.reduce_output(1, [wl.iva(1, 1)])
+    file_header, map_header, reduce_header = headers
+    assert len({file_header[:1], map_header[:1], reduce_header[:1]}) == 3
+    assert file_header[1:] == map_header[1:]
+    assert block_stream(file_header, payload, 64) != block_stream(map_header, payload, 64)
 
 
 def test_mixed_multiplicity_stack_end_to_end():
@@ -672,8 +692,8 @@ def test_work_budget_refuses_before_any_work(monkeypatch):
         measure_loads(EX1, TOY, 3)
 
     # the same holds for the hashed bytes: man(4,2) at V = 2**23 hashes
-    # 94.4M bytes and still runs, 2**24 is refused
-    assert engine.hashed_bytes(JobSpec(6, 3, 64, 2**23, 64)) == 94_372_032
+    # 37.7M bytes and still runs, 2**24 is refused
+    assert engine.hashed_bytes(JobSpec(6, 3, 64, 2**23, 64)) == 37_749_603
     assert engine.hashed_bytes(JobSpec(6, 3, 64, 2**24, 64)) > engine.MAX_HASHED_BYTES
     monkeypatch.undo()
     monkeypatch.setattr(engine, "MAX_HASHED_BYTES", engine.hashed_bytes(TOY))
@@ -683,12 +703,12 @@ def test_work_budget_refuses_before_any_work(monkeypatch):
         measure_loads(EX1, TOY, 3)
 
     # and for the decoded values: p1(2,2) with N = D = 1000 passes the other
-    # two budgets (960 cells and 32,665,000 bytes), but its 120 transcripts
+    # two budgets (960 cells and 34,683,000 bytes), but its 120 transcripts
     # would copy and decode 1.2e8 values
     monkeypatch.undo()
     monkeypatch.setattr(engine, "achieved_load", no_load)
     big = JobSpec(1000, 1000, 64, 5, 64)
-    assert engine.hashed_bytes(big) == 32_665_000
+    assert engine.hashed_bytes(big) == 34_683_000
     with pytest.raises(ParameterError, match=r"^120 transcripts of 1000 files x 1000 "
                        r"functions decode 120000000 values, above the limit of 10000000; "
                        r".*--samples$"):
@@ -710,8 +730,8 @@ def test_work_budget_refuses_before_any_work(monkeypatch):
     (EX1, TOY, 0, None, r"^q_active must be in 1\.\.4, got 0$"),
     (EX1, TOY, 3, -1, r"^samples must be >= 1$"),
     (EX1, JobSpec(6, 3, 64, 2**30, 64), 3, None, r"^the job's files, map values and "
-                                                 r"reference outputs hash 12079595712 "
-                                                 r"bytes, above the limit of 100000000$"),
+                                                 r"reference outputs hash 4831839075 "
+                                                 r"bytes, above the limit of 50000000$"),
     # p1(2,6) symbols occur 6 times, so Q = 12 needs lcm(1..5) = 60, not lcm(1..11)
     (p1_pda(2, 6), JobSpec(32, 12, 8, 470, 8), 12, None,
      r"^lcm\(1\.\.5\) = 60 must divide eta\*\(D/Q\)\*V = 470 so coded blocks split evenly "
@@ -733,12 +753,13 @@ def test_intake_refuses_before_any_work(monkeypatch, pda, job, q_active, samples
     (man_pda(4, 3), JobSpec(4, 2, 64, 1, 1), 2),           # one-bit values and outputs
 ])
 def test_hashed_bytes_counts_every_stream(monkeypatch, pda, job, q_active):
-    # the estimate equals what the run hashes, counted per stream as
-    # ceil(nbits/64) blocks of header + LE64(index) + payload
+    # the estimate equals what the run hashes, counted per stream as the
+    # LE64(len(header)) || header || payload SHAKE-256 absorbs and the
+    # ceil(nbits/8) bytes it squeezes
     hashed = []
 
     def counting(header, payload, nbits):
-        hashed.append(-(-nbits // 64) * (len(header) + 8 + len(payload)))
+        hashed.append(8 + len(header) + len(payload) + -(-nbits // 8))
         return block_stream(header, payload, nbits)
 
     monkeypatch.setattr(engine, "block_stream", counting)
@@ -795,22 +816,23 @@ MIXED = stack_pda(man_pda(5, 2), man_pda(5, 3), man_pda(5, 4))
 
 
 def pinned_jobs(pda, qs, files_per_row=1):
-    """One job per active-set size: D = Q, and V = 180 and U = 130 (three
-    blocks each), which split evenly for every Q <= 6."""
+    """One job per active-set size: D = Q, and V = 180 and U = 130 (neither
+    a byte multiple), which split evenly for every Q <= 6."""
     return [(q, JobSpec(pda.f * files_per_row, q, 64, 180, 130, seed=q)) for q in qs]
 
 
 # every active set of each (array, Q, job); the digests were computed with
-# the implementation that keyed each part by (row, node, label)
+# the SHAKE-256 stream as written out in test_bits.shake_stream in place of
+# bits.block_stream
 PINNED_TRANSCRIPTS = {
     "ex1-toy": (EX1, [(3, TOY)],
-                "db66de2a590734e42488565f7bf554c7224cc7d25e1dbad0270e0ce80ebf060e"),
+                "1ada8a9726605ebdbd26669e886c27518c0057537da4b601125fd40856de94de"),
     "p1-2-2": (p1_pda(2, 2), pinned_jobs(p1_pda(2, 2), (3, 4), files_per_row=2),
-               "0f26ae521e00791df9bb28f6ea5bc8393041c81d10c3d17d92fbac21f5fe1c69"),
+               "0aa1fe03f03fe0ebc531945d5ea8119cb59f986fae1e81b98710a65946f2b902"),
     "p2-3-2": (p2_pda(3, 2), pinned_jobs(p2_pda(3, 2), (3, 4, 5, 6)),
-               "ded60a6e24693fd0696204b02d14115781dbe992ce570801f5a08d0b275d7c58"),
+               "afa06cad765b08210b9e2fc736a3599bfa0f9b5911e1ed263c9494e89943ef24"),
     "mixed-stack": (MIXED, pinned_jobs(MIXED, (4, 5)),
-                    "c14af622bcb704157c52966d86c2f26838acbcf82aeadbef399076271c33c8f5"),
+                    "04d9eed78a4aaaa4800c5a1f90788a5ca82d407a9fe64e2e2179e6f23668d816"),
 }
 
 
