@@ -133,6 +133,36 @@ def test_block_stream_matches_shake_256(header, payload, nbits):
 ALL_BYTES = bytes(range(256))
 
 
+@pytest.mark.parametrize("nbits", [0, 1, 63, 64, 65, 100, 127, 128, 129, 192, 640, 700,
+                                   16448, 16449])
+@pytest.mark.parametrize("header,payload", [
+    (le64(5) + le64(6), b"xyz"),
+    (b"", b"xyz"),
+    (le64(5), b""),
+    (b"", b""),
+    (le64(7), ALL_BYTES[::-1] + ALL_BYTES),
+], ids=["plain", "empty-header", "empty-payload", "both-empty", "all-byte-values"])
+def test_block_stream_lanes_match_scalar_blocks(header, payload, nbits):
+    # fixed streams of one 64-bit block, two, and many (257 blocks: 16448 bits
+    # and one more), with empty and full-byte-range inputs, by the definition
+    assert block_stream(header, payload, nbits) == shake_stream(header, payload, nbits)
+
+
+@pytest.mark.parametrize("state", [0, 2**63, 2**64 - 2, 2**64 - 1],
+                         ids=["zero", "2^63", "2^64-2", "2^64-1"])
+@pytest.mark.parametrize("payload", [b"", b"xyz", ALL_BYTES],
+                         ids=["empty", "xyz", "all-byte-values"])
+def test_lane_hashes_match_scalar_from_any_state(state, payload):
+    # headers holding the extreme 64-bit words: 2, 3 and 257 blocks by the
+    # definition, each stream a prefix of the longest
+    header = le64(state)
+    longest = block_stream(header, payload, 257 * 64)
+    for nblocks in (2, 3, 257):
+        stream = block_stream(header, payload, nblocks * 64)
+        assert stream == shake_stream(header, payload, nblocks * 64)
+        assert stream.value == longest.value >> (longest.nbits - stream.nbits)
+
+
 def test_block_stream_rejects_negative_length():
     with pytest.raises(ValueError, match="negative bit length"):
         block_stream(b"", b"", -1)
